@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -108,8 +109,26 @@ def _params_to_jsonable(params: ModelParams) -> dict:
     }
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write to a temp file in the same directory, then rename it over path:
+    an interrupted run leaves the old file or none, never a truncated one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def cmd_synth(args) -> int:
@@ -128,7 +147,10 @@ def cmd_convert(args) -> int:
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _read_json(manifest_path)
+        tasks = manifest.get("tasks", []) if isinstance(manifest, dict) else None
+        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+            raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
         if manifest.get("dim") != features.shape[1]:
             raise DataError(
                 f"{args.csv}: feature dimension {features.shape[1]} does not match "
@@ -186,12 +208,19 @@ def _cell_payload(report: MetricsReport, method: str) -> dict:
     }
 
 
-def _report_from_payload(payload: dict) -> MetricsReport:
-    return MetricsReport(
-        seed=payload["seed"],
-        per_task=payload["per_task"],
-        average_macro_f1=payload["average_macro_f1"],
-    )
+_CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "per_task": dict}
+
+
+def _read_cell(path: Path) -> tuple[str, MetricsReport]:
+    """(method, report) of one result cell; DataError naming the file if malformed."""
+    cell = _read_json(path)
+    cell = cell if isinstance(cell, dict) else {}
+    bad = [k for k, tp in _CELL_FIELDS.items()
+           if not isinstance(cell.get(k), tp) or isinstance(cell.get(k), bool)]
+    if bad or not all(isinstance(v, (int, float)) for v in cell["per_task"].values()):
+        raise DataError(f"{path}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
+    report = MetricsReport(cell["seed"], cell["per_task"], cell["average_macro_f1"])
+    return cell["method"], report
 
 
 def cmd_experiment(args) -> int:
@@ -214,15 +243,15 @@ def cmd_experiment(args) -> int:
             cell_dir.mkdir(parents=True, exist_ok=True)
             cell = cell_dir / f"seed_{seed}.json"
             if cell.exists():
-                payload = json.loads(cell.read_text())
+                report = _read_cell(cell)[1]
             else:
-                payload = _cell_payload(run_method(dataset, method, cfg, seed), method)
-                _write_json(cell, payload)
-            reports.append(_report_from_payload(payload))
+                report = run_method(dataset, method, cfg, seed)
+                _write_json(cell, _cell_payload(report, method))
+            reports.append(report)
         summaries.append(summarize(method, reports))
     text, doc = render_report(summaries)
-    (out / "report.txt").write_text(text)
-    (out / "report.json").write_text(doc)
+    _write_text(out / "report.txt", text)
+    _write_text(out / "report.json", doc)
     _write_json(out / "config.json", to_dict(cfg))
     print(text, end="")
     return 0
@@ -235,15 +264,15 @@ def cmd_report(args) -> int:
         raise DataError(f"no result cells found under {base / 'results'}")
     by_method: dict[str, list[MetricsReport]] = {}
     for cell in cells:
-        payload = json.loads(cell.read_text())
-        by_method.setdefault(payload["method"], []).append(_report_from_payload(payload))
+        method, report = _read_cell(cell)
+        by_method.setdefault(method, []).append(report)
     summaries = [
         summarize(method, sorted(reports, key=lambda r: r.seed))
         for method, reports in sorted(by_method.items())
     ]
     text, doc = render_report(summaries)
-    (base / "report.txt").write_text(text)
-    (base / "report.json").write_text(doc)
+    _write_text(base / "report.txt", text)
+    _write_text(base / "report.json", doc)
     print(text, end="")
     return 0
 

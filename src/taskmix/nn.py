@@ -1,18 +1,19 @@
 """Dense-network numerics.
 
 A model is a "neck" of Linear-PReLU layers followed by a linear classification
-head sized to the largest class count across tasks. Everything here is a pure
-function over explicit parameter structures: forward pass, weighted
-cross-entropy, exact reverse-mode gradients, exact Hessian-vector products,
-and meta-gradients obtained by backpropagating through an unrolled inner-loop
-SGD trajectory.
+head sized to the largest class count across tasks. A model's parameters are
+one flat vector with named views into it (ModelParams). Everything here is a
+pure function over such parameters: forward pass, weighted cross-entropy,
+exact reverse-mode gradients, exact Hessian-vector products, and
+meta-gradients obtained by backpropagating through an unrolled inner-loop SGD
+trajectory.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Callable
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,97 +53,89 @@ class HeadParams:
     bias: np.ndarray  # [n_classes]
 
 
+@dataclass(frozen=True)
+class Layout:
+    """Where each named array of a model sits in its flat parameter vector.
+
+    Order: every neck layer's (weight, bias, slope), then the head's
+    (weight, bias). `dims` is (input_dim, *hidden, n_classes).
+    """
+
+    dims: tuple[int, ...]
+    spans: tuple[tuple[int, int, tuple[int, ...]], ...]  # (start, stop, shape)
+    size: int
+
+    @property
+    def neck_size(self) -> int:
+        """Length of the neck's prefix of the vector; the head follows it."""
+        return self.spans[-2][0]
+
+
+@functools.lru_cache(maxsize=256)
+def layout_for(dims: tuple[int, ...]) -> Layout:
+    """The layout of one geometry, computed once and shared (it is immutable)."""
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in zip(dims[:-2], dims[1:-1]):
+        shapes += [(fan_out, fan_in), (fan_out,), (fan_out,)]
+    shapes += [(dims[-1], dims[-2]), (dims[-1],)]
+    spans, pos = [], 0
+    for shape in shapes:
+        spans.append((pos, pos + math.prod(shape), shape))
+        pos += math.prod(shape)
+    return Layout(dims=tuple(dims), spans=tuple(spans), size=pos)
+
+
 @dataclass
 class ModelParams:
-    """Neck + head parameters. Gradient sets share this exact structure."""
+    """Neck + head parameters: one contiguous vector and named views into it.
 
-    layers: list[LayerParams]
-    head: HeadParams
+    `layers[k].weight/bias/slope` and `head.weight/bias` share memory with
+    `flat`, in the dtype the vector was built with. Gradients, Hessian-vector
+    products and optimizer moments use the same layout, so every update is
+    one whole-vector operation.
+    """
+
+    flat: np.ndarray
+    layout: Layout
+    layers: list[LayerParams] = field(init=False, repr=False)
+    head: HeadParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (self.layout.size,):
+            raise ShapeError(
+                f"parameter vector has shape {self.flat.shape}, layout needs "
+                f"({self.layout.size},)"
+            )
+        views = [self.flat[a:b].reshape(shape) for a, b, shape in self.layout.spans]
+        self.layers = [LayerParams(*views[i : i + 3]) for i in range(0, len(views) - 2, 3)]
+        self.head = HeadParams(*views[-2:])
+
+    def like(self, flat: np.ndarray) -> ModelParams:
+        """Another vector viewed through this model's layout."""
+        return ModelParams(flat, self.layout)
+
+    def copy(self) -> ModelParams:
+        return self.like(self.flat.copy())
 
     @property
     def input_dim(self) -> int:
-        first = self.layers[0].weight if self.layers else self.head.weight
-        return first.shape[1]
+        return self.layout.dims[0]
 
     @property
     def n_classes(self) -> int:
-        return self.head.weight.shape[0]
+        return self.layout.dims[-1]
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in tree_leaves(self))
+        return bool(np.isfinite(self.flat).all())
 
 
-# ---------------------------------------------------------------------------
-# Parameter trees. ModelParams, bare HeadParams, and lists of LayerParams are
-# all valid trees; gradients and optimizer moments reuse the same shapes.
-# ---------------------------------------------------------------------------
+# Copying converters between a model and a bare vector (finite differences).
+def tree_to_vector(params: ModelParams) -> np.ndarray:
+    return params.flat.copy()
 
 
-def tree_map(fn: Callable, *trees):
-    """Apply fn leafwise across structurally identical trees."""
-    head = trees[0]
-    if isinstance(head, np.ndarray):
-        return fn(*trees)
-    if isinstance(head, (list, tuple)):
-        mapped = (tree_map(fn, *parts) for parts in zip(*trees))
-        return type(head)(mapped)
-    if dataclasses.is_dataclass(head):
-        kwargs = {
-            f.name: tree_map(fn, *(getattr(t, f.name) for t in trees))
-            for f in dataclasses.fields(head)
-        }
-        return type(head)(**kwargs)
-    return head
-
-
-def tree_leaves(tree) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-
-    def rec(t):
-        if isinstance(t, np.ndarray):
-            out.append(t)
-        elif isinstance(t, (list, tuple)):
-            for x in t:
-                rec(x)
-        elif dataclasses.is_dataclass(t):
-            for f in dataclasses.fields(t):
-                rec(getattr(t, f.name))
-
-    rec(tree)
-    return out
-
-
-def tree_copy(tree):
-    return tree_map(np.copy, tree)
-
-
-def tree_zeros_like(tree):
-    return tree_map(np.zeros_like, tree)
-
-
-def tree_add(a, b):
-    return tree_map(lambda x, y: x + y, a, b)
-
-
-def tree_scale(tree, c: float):
-    return tree_map(lambda x: c * x, tree)
-
-
-def tree_to_vector(tree) -> np.ndarray:
-    return np.concatenate([leaf.ravel() for leaf in tree_leaves(tree)])
-
-
-def vector_to_tree(vec: np.ndarray, template):
-    leaves = tree_leaves(template)
-    total = sum(leaf.size for leaf in leaves)
-    if vec.size != total:
-        raise ShapeError(f"vector length {vec.size} does not match template ({total})")
-    out, pos = [], 0
-    for leaf in leaves:
-        out.append(vec[pos : pos + leaf.size].reshape(leaf.shape).astype(leaf.dtype))
-        pos += leaf.size
-    it = iter(out)
-    return tree_map(lambda _: next(it), template)
+def vector_to_tree(vec: np.ndarray, template: ModelParams) -> ModelParams:
+    return template.like(vec.astype(template.flat.dtype))  # ShapeError on a size mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +148,20 @@ def init_params(
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases, PReLU slopes at 0.25."""
     geometry.validate()
+    dims = (geometry.input_dim, *geometry.hidden, geometry.n_classes)
+    layout = layout_for(tuple(int(d) for d in dims))
+    params = ModelParams(np.zeros(layout.size, dtype=dtype), layout)
 
-    def linear(fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
+    def glorot(weight: np.ndarray) -> None:
+        fan_out, fan_in = weight.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
-        return w, np.zeros(fan_out, dtype=dtype)
+        weight[...] = rng.uniform(-limit, limit, size=weight.shape)
 
-    layers = []
-    fan_in = geometry.input_dim
-    for width in geometry.hidden:
-        w, b = linear(fan_in, width)
-        slope = np.full(width, PRELU_INIT_SLOPE, dtype=dtype)
-        layers.append(LayerParams(w, b, slope))
-        fan_in = width
-    hw, hb = linear(fan_in, geometry.n_classes)
-    return ModelParams(layers=layers, head=HeadParams(hw, hb))
+    for layer in params.layers:
+        glorot(layer.weight)
+        layer.slope[...] = PRELU_INIT_SLOPE
+    glorot(params.head.weight)
+    return params
 
 
 def prelu(x, slope):
@@ -243,7 +235,7 @@ def weighted_ce(
 def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
     """Loss and exact gradients of weighted_ce(forward(x)) for every parameter.
 
-    Returns (loss, grads) where grads mirrors the ModelParams structure,
+    Returns (loss, grads) where grads is one vector in the params' layout,
     including per-unit PReLU slope gradients. Reduction is the mean over the
     batch, so duplicating rows leaves gradients unchanged.
     """
@@ -259,35 +251,20 @@ def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
     weight_mass = y @ w  # [B]; total class weight carried by each row's labels
     delta = (weight_mass[:, None] * p - y * w[None, :]) / b  # dLoss/dlogits
 
-    g_head_w = delta.T @ hs[-1]
-    g_head_b = delta.sum(axis=0)
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(delta.T, hs[-1], out=grads.head.weight)
+    delta.sum(axis=0, out=grads.head.bias)
     d = delta @ params.head.weight
 
-    g_layers: list[LayerParams] = []
     for k in range(len(params.layers) - 1, -1, -1):
-        layer, z = params.layers[k], zs[k]
+        layer, z, g = params.layers[k], zs[k], grads.layers[k]
         act_slope = np.where(z > 0, 1.0, layer.slope)
         dz = d * act_slope
-        g_slope = np.where(z > 0, 0.0, d * z).sum(axis=0)
-        g_w = dz.T @ hs[k]
-        g_b = dz.sum(axis=0)
-        d = dz @ layer.weight
-        g_layers.append(
-            LayerParams(
-                g_w.astype(layer.weight.dtype),
-                g_b.astype(layer.bias.dtype),
-                g_slope.astype(layer.slope.dtype),
-            )
-        )
-    g_layers.reverse()
-
-    grads = ModelParams(
-        layers=g_layers,
-        head=HeadParams(
-            g_head_w.astype(params.head.weight.dtype),
-            g_head_b.astype(params.head.bias.dtype),
-        ),
-    )
+        np.where(z > 0, 0.0, d * z).sum(axis=0, out=g.slope)
+        np.matmul(dz.T, hs[k], out=g.weight)
+        dz.sum(axis=0, out=g.bias)
+        if k:  # the gradient w.r.t. the input itself is never needed
+            d = dz @ layer.weight
     return loss, grads
 
 
@@ -325,41 +302,27 @@ def loss_hvp(params: ModelParams, batch, direction: ModelParams) -> ModelParams:
     delta = (weight_mass[:, None] * p - y * w[None, :]) / b
     r_delta = (weight_mass[:, None] * rp) / b
 
-    # Tangent backward pass.
-    hv_head_w = r_delta.T @ hs[-1] + delta.T @ r_hs[-1]
-    hv_head_b = r_delta.sum(axis=0)
+    # Tangent backward pass, written straight into one output vector.
+    hv = params.like(np.empty_like(params.flat))
+    np.add(r_delta.T @ hs[-1], delta.T @ r_hs[-1], out=hv.head.weight)
+    r_delta.sum(axis=0, out=hv.head.bias)
     d = delta @ params.head.weight
     rd = r_delta @ params.head.weight + delta @ direction.head.weight
 
-    hv_layers: list[LayerParams] = []
     for k in range(len(params.layers) - 1, -1, -1):
-        layer, v_layer = params.layers[k], direction.layers[k]
+        layer, v_layer, out = params.layers[k], direction.layers[k], hv.layers[k]
         z, rz = zs[k], r_zs[k]
         neg = z <= 0
         act_slope = np.where(neg, layer.slope, 1.0)
         dz = d * act_slope
         r_dz = rd * act_slope + np.where(neg, d * v_layer.slope, 0.0)
-        hv_slope = np.where(neg, rd * z + d * rz, 0.0).sum(axis=0)
-        hv_w = r_dz.T @ hs[k] + dz.T @ r_hs[k]
-        hv_b = r_dz.sum(axis=0)
-        rd = r_dz @ layer.weight + dz @ v_layer.weight
-        d = dz @ layer.weight
-        hv_layers.append(
-            LayerParams(
-                hv_w.astype(layer.weight.dtype),
-                hv_b.astype(layer.bias.dtype),
-                hv_slope.astype(layer.slope.dtype),
-            )
-        )
-    hv_layers.reverse()
-
-    return ModelParams(
-        layers=hv_layers,
-        head=HeadParams(
-            hv_head_w.astype(params.head.weight.dtype),
-            hv_head_b.astype(params.head.bias.dtype),
-        ),
-    )
+        np.where(neg, rd * z + d * rz, 0.0).sum(axis=0, out=out.slope)
+        np.add(r_dz.T @ hs[k], dz.T @ r_hs[k], out=out.weight)
+        r_dz.sum(axis=0, out=out.bias)
+        if k:  # input tangents are never needed
+            rd = r_dz @ layer.weight + dz @ v_layer.weight
+            d = dz @ layer.weight
+    return hv
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +368,7 @@ def backprop_through_trace(grads: ModelParams, trace: AdaptationTrace) -> ModelP
     g = grads
     for step in reversed(trace.steps):
         hv = loss_hvp(step.params, step.batch, g)
-        g = tree_map(lambda a, b, lr=step.lr: a - lr * b, g, hv)
+        g = g.like(g.flat - step.lr * hv.flat)
     return g
 
 

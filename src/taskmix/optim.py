@@ -11,31 +11,32 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .nn import tree_copy, tree_map, tree_zeros_like
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
 
-def sgd_step(params, grads, lr: float):
-    """p' = p - lr * g, elementwise over the whole parameter tree."""
-    return tree_map(lambda p, g: p - lr * g, params, grads)
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
+    """p' = p - lr * g over one flat parameter vector."""
+    return params - lr * grads
 
 
 @dataclass
 class AdamState:
-    m: Any
-    v: Any
+    m: np.ndarray  # first moment, same layout as the parameter vector
+    v: np.ndarray  # second moment
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def init(
+        cls, params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
+    ):
         return cls(
-            m=tree_zeros_like(params),
-            v=tree_zeros_like(params),
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
             t=0,
             beta1=beta1,
             beta2=beta2,
@@ -43,20 +44,15 @@ class AdamState:
         )
 
 
-def adam_step(state: AdamState, params, grads, lr: float):
-    """One bias-corrected Adam update; returns (new_state, new_params)."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
+    """One bias-corrected Adam update of a flat vector; returns (new_state, new_params)."""
     t = state.t + 1
     b1, b2 = state.beta1, state.beta2
-    m = tree_map(lambda m_, g: b1 * m_ + (1.0 - b1) * g, state.m, grads)
-    v = tree_map(lambda v_, g: b2 * v_ + (1.0 - b2) * g * g, state.v, grads)
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * grads * grads
     mc = 1.0 - b1**t
     vc = 1.0 - b2**t
-    new_params = tree_map(
-        lambda p, m_, v_: p - lr * (m_ / mc) / (np.sqrt(v_ / vc) + state.eps),
-        params,
-        m,
-        v,
-    )
+    new_params = params - lr * (m / mc) / (np.sqrt(v / vc) + state.eps)
     return AdamState(m=m, v=v, t=t, beta1=b1, beta2=b2, eps=state.eps), new_params
 
 
@@ -86,7 +82,8 @@ def cosine_lr(step: int, schedule: Schedule) -> float:
 class EarlyStopper:
     """Stops after `patience` consecutive non-improving evaluations.
 
-    Keeps a deep snapshot of the best-scoring parameters; the snapshot is the
+    Keeps a copy of the best-scoring parameters (anything with a `.copy()`
+    that owns its memory: a flat vector or ModelParams); the snapshot is the
     training result, never the last step's parameters.
     """
 
@@ -115,7 +112,7 @@ class EarlyStopper:
         if self._improved(value):
             self.best_value = float(value)
             self.best_step = int(step)
-            self.best_params = tree_copy(params)
+            self.best_params = params.copy()
             self.bad_count = 0
             return False
         self.bad_count += 1

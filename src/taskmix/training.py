@@ -25,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import AUG_BOTH, AUG_METAMIX, AUG_TASKMIX, RunConfig
 from .data import Batch, Dataset, Task, full_split_batch, sample_batch
 from .data import ROLE_META_TEST
@@ -41,8 +43,7 @@ from .nn import (
     backward,
     forward,
     init_params,
-    tree_add,
-    tree_map,
+    layout_for,
     weighted_ce,
 )
 from .optim import (
@@ -112,7 +113,7 @@ def inner_adapt(
         _, grads = backward(cur, batch)
         if record:
             steps.append(TraceStep(params=cur, batch=batch, lr=lr))
-        cur = sgd_step(cur, grads, lr)
+        cur = cur.like(sgd_step(cur.flat, grads.flat, lr))
     return AdaptationTrace(n_steps=len(support_batches), adapted=cur, steps=steps)
 
 
@@ -128,7 +129,7 @@ def _unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
         mixed_loss, mixed_grads = backward(trace.adapted, mixed)
         if mode == EXACT:
             mixed_grads = backprop_through_trace(mixed_grads, trace)
-        grads = tree_map(lambda a, b: 0.5 * (a + b), grads, mixed_grads)
+        grads = grads.like(0.5 * (grads.flat + mixed_grads.flat))
         loss = 0.5 * (loss + mixed_loss)
     return loss, grads
 
@@ -174,14 +175,15 @@ def meta_step(
             metamix_rng = bundle.beta(f"metamix/{key}") if use_metamix else None
             loss, grads = _unit_gradient(theta, support, query, cfg, metamix_rng)
             total_loss += loss
-            total_grads = grads if total_grads is None else tree_add(total_grads, grads)
+            total_grads = grads.flat if total_grads is None else total_grads + grads.flat
     except NumericError as exc:
         raise TrainingDivergedError(step, f"outer step {step}: {exc}") from exc
     if not math.isfinite(total_loss):
         raise TrainingDivergedError(step, f"non-finite meta-loss at outer step {step}")
 
     lr = cosine_lr(step, cfg.schedule)
-    adam_state, theta = adam_step(adam_state, theta, total_grads, lr)
+    adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)
+    theta = theta.like(flat)
     stats = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(units)}
     return theta, adam_state, stats
 
@@ -203,7 +205,7 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tr
         raise DataError("meta-training requires at least one meta_train task")
     bundle = StreamBundle(seed)
     theta = init_params(model_geometry(dataset, cfg), bundle.init())
-    adam_state = AdamState.init(theta)
+    adam_state = AdamState.init(theta.flat)
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
     log = _HistoryLog(log_path)
     history: list[dict] = []
@@ -249,7 +251,7 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
     if task.role != ROLE_META_TEST:
         raise UsageError(f"finetune targets meta_test tasks, got role {task.role!r}")
     batch = full_split_batch(task, "train")
-    adam_state = AdamState.init(theta)
+    adam_state = AdamState.init(theta.flat)
     stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
     stopper.update(split_macro_f1(theta, task, "validation"), -1, theta)
     params = theta
@@ -261,7 +263,8 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
             loss, grads = backward(params, batch)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, f"non-finite loss at fine-tune step {step}")
-            adam_state, params = adam_step(adam_state, params, grads, cfg.finetune.lr)
+            adam_state, flat = adam_step(adam_state, params.flat, grads.flat, cfg.finetune.lr)
+            params = params.like(flat)
             steps_run = step + 1
             record = {"step": step, "lr": cfg.finetune.lr, "train_loss": loss}
             if (step + 1) % cfg.finetune.eval_every == 0:
@@ -292,15 +295,6 @@ def _restrict(batch: Batch, n_classes: int) -> Batch:
     return Batch(x=batch.x, y=batch.y[:, :n_classes], w=batch.w[:n_classes])
 
 
-def _mtl_validation_loss(neck, heads, tasks) -> float:
-    total = 0.0
-    for head, task in zip(heads, tasks):
-        batch = _restrict(full_split_batch(task, "validation"), task.n_classes)
-        model = ModelParams(layers=neck, head=head)
-        total += weighted_ce(forward(model, batch.x), batch.y, batch.w)
-    return total / len(tasks)
-
-
 def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> ModelParams:
     """Joint multi-task pretraining of the shared trunk.
 
@@ -318,43 +312,57 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Mod
     init_rng = bundle.init()
     base = init_params(model_geometry(dataset, cfg), init_rng)
     neck_width = cfg.model.hidden[-1] if cfg.model.hidden else dataset.dim
-    heads = [
-        init_params(Geometry(neck_width, [], t.n_classes), init_rng).head for t in tasks
-    ]
-    fresh_head = base.head
-    state = [base.layers, heads]
+    heads = [init_params(Geometry(neck_width, [], t.n_classes), init_rng) for t in tasks]
+
+    # One flat state: the shared neck, then every task's private head. A
+    # task's model is the neck followed by its own head.
+    n_neck = base.layout.neck_size
+    state = np.concatenate([base.flat[:n_neck], *(h.flat for h in heads)])
+    spans, pos = [], n_neck
+    for head in heads:
+        spans.append((pos, pos + head.flat.size))
+        pos += head.flat.size
+    layouts = [layout_for((*base.layout.dims[:-1], t.n_classes)) for t in tasks]
+
+    def task_model(vec: np.ndarray, k: int) -> ModelParams:
+        a, b = spans[k]
+        return ModelParams(np.concatenate([vec[:n_neck], vec[a:b]]), layouts[k])
+
+    def validation_loss(vec: np.ndarray) -> float:
+        total = 0.0
+        for k, task in enumerate(tasks):
+            batch = _restrict(full_split_batch(task, "validation"), task.n_classes)
+            total += weighted_ce(forward(task_model(vec, k), batch.x), batch.y, batch.w)
+        return total / len(tasks)
+
     adam_state = AdamState.init(state)
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
     log = _HistoryLog(log_path)
     try:
         for step in range(cfg.meta.max_steps):
-            neck, cur_heads = state
             total_loss = 0.0
-            neck_grads = None
-            head_grads = []
+            grads = np.empty_like(state)
             try:
-                for head, task in zip(cur_heads, tasks):
+                for k, task in enumerate(tasks):
                     batch = _restrict(
                         sample_batch(task, "train", cfg.meta.batch_size, bundle.batch(task.id)),
                         task.n_classes,
                     )
-                    loss, grads = backward(ModelParams(layers=neck, head=head), batch)
+                    loss, g = backward(task_model(state, k), batch)
                     total_loss += loss
-                    head_grads.append(grads.head)
-                    neck_grads = (
-                        grads.layers
-                        if neck_grads is None
-                        else tree_add(neck_grads, grads.layers)
-                    )
+                    a, b = spans[k]
+                    grads[a:b] = g.flat[n_neck:]
+                    neck = g.flat[:n_neck]
+                    grads[:n_neck] = grads[:n_neck] + neck if k else neck
             except NumericError as exc:
                 raise TrainingDivergedError(step, f"outer step {step}: {exc}") from exc
             if not math.isfinite(total_loss):
                 raise TrainingDivergedError(step, f"non-finite joint loss at step {step}")
             lr = cosine_lr(adam_state.t, cfg.schedule)
-            adam_state, state = adam_step(adam_state, state, [neck_grads, head_grads], lr)
+            adam_state, state = adam_step(adam_state, state, grads, lr)
             record = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(tasks)}
             if (step + 1) % cfg.meta.eval_every == 0:
-                val = _mtl_validation_loss(state[0], state[1], tasks)
+                val = validation_loss(state)
                 record["validation_loss"] = val
                 log.write(record)
                 if stopper.update(val, step, state):
@@ -363,5 +371,5 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Mod
                 log.write(record)
     finally:
         log.close()
-    best_state = stopper.best_params if stopper.best_params is not None else state
-    return ModelParams(layers=best_state[0], head=fresh_head)
+    best = stopper.best_params if stopper.best_params is not None else state
+    return base.like(np.concatenate([best[:n_neck], base.flat[n_neck:]]))

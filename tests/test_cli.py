@@ -280,3 +280,72 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--meta.inner_lr", "1e30"])
     assert code == 4
     assert "step" in capsys.readouterr().err
+
+
+def test_experiment_resume_with_truncated_cell_is_a_data_error(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=42)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
+    cell = out / "results" / "vanilla" / "seed_0.json"
+    cell.write_text(cell.read_text()[:20])
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 3
+    assert str(cell) in capsys.readouterr().err
+
+
+def test_report_with_truncated_cell_is_a_data_error(tmp_path, capsys):
+    cell = tmp_path / "results" / "vanilla" / "seed_0.json"
+    cell.parent.mkdir(parents=True)
+    cell.write_text('{"method": "vanilla", "seed": 0, "average_')
+    assert main(["report", "--in", str(tmp_path)]) == 3
+    assert str(cell) in capsys.readouterr().err
+
+
+def test_report_with_cell_missing_seed_is_a_data_error(tmp_path, capsys):
+    cell = tmp_path / "results" / "vanilla" / "seed_0.json"
+    cell.parent.mkdir(parents=True)
+    cell.write_text(json.dumps(
+        {"method": "vanilla", "average_macro_f1": 0.5, "per_task": {"t": 0.5}}
+    ))
+    assert main(["report", "--in", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(cell) in err and "seed" in err
+
+
+def test_convert_with_malformed_manifest_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "task.csv"
+    csv.write_text(csv_text(["0,1.0,2.0", "1,3.0,4.0", "0,5.0,6.0", "1,0.5,0.25"]))
+    out = tmp_path / "ds"
+    out.mkdir()
+    argv = ["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
+            "--out", str(out)]
+    for bad in ('{"dim": 2, "tasks": [', '["not", "an", "object"]', '{"dim": 2, "tasks": [1]}'):
+        (out / "manifest.json").write_text(bad)
+        assert main(argv) == 3
+        assert "manifest.json" in capsys.readouterr().err
+        assert (out / "manifest.json").read_text() == bad  # left as found
+
+
+def test_interrupted_cell_write_leaves_no_cell_behind(tmp_path, monkeypatch):
+    import taskmix.cli as cli
+
+    manifest = write_tiny_dataset(tmp_path, seed=43)
+    cfg = write_config(tmp_path)
+    reference = tmp_path / "ref"
+    assert main(experiment_argv(manifest, cfg, reference, "vanilla", seeds="0")) == 0
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    out = tmp_path / "exp"
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0"))
+    monkeypatch.undo()
+    cell_dir = out / "results" / "vanilla"
+    assert list(cell_dir.iterdir()) == []  # neither a cell nor a temp file
+
+    # the resumed run computes the cell afresh, byte for byte as a clean run
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
+    for name in ("results/vanilla/seed_0.json", "report.txt", "report.json"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()

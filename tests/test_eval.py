@@ -23,7 +23,7 @@ from taskmix.metrics import (
     split_loss,
     split_macro_f1,
 )
-from taskmix.nn import HeadParams, ModelParams, forward, weighted_ce
+from taskmix.nn import ModelParams, forward, layout_for, weighted_ce
 
 from util import oracle_macro_f1, tiny_config, tiny_dataset
 
@@ -80,10 +80,9 @@ def test_macro_f1_shape_guard():
 
 
 def constant_model(dim, width, bias=None):
+    # head only: zero weights, so the logits are the bias
     b = np.zeros(width) if bias is None else np.asarray(bias, dtype=np.float64)
-    return ModelParams(
-        layers=[], head=HeadParams(weight=np.zeros((width, dim)), bias=b)
-    )
+    return ModelParams(np.concatenate([np.zeros(width * dim), b]), layout_for((dim, width)))
 
 
 def test_constant_logits_balanced_two_class_third():

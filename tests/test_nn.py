@@ -16,20 +16,16 @@ from taskmix.nn import (
     PRELU_INIT_SLOPE,
     AdaptationTrace,
     Geometry,
-    HeadParams,
-    LayerParams,
     ModelParams,
     TraceStep,
     backprop_through_trace,
     backward,
     forward,
     init_params,
+    layout_for,
     loss_hvp,
     meta_gradient,
     prelu,
-    tree_leaves,
-    tree_map,
-    tree_scale,
     tree_to_vector,
     vector_to_tree,
     weighted_ce,
@@ -40,11 +36,9 @@ from util import fd_gradient, random_batch, rel_err, small_net, trees_equal
 
 
 def hand_model(head_w=2.0, head_b=1.0):
-    layer = LayerParams(
-        weight=np.array([[1.0]]), bias=np.array([0.0]), slope=np.array([0.25])
-    )
-    head = HeadParams(weight=np.array([[head_w]]), bias=np.array([head_b]))
-    return ModelParams(layers=[layer], head=head)
+    # one 1->1 PReLU layer (weight 1, bias 0, slope 0.25), then a 1->1 head
+    flat = np.array([1.0, 0.0, 0.25, head_w, head_b])
+    return ModelParams(flat, layout_for((1, 1, 1)))
 
 
 def test_forward_hand_case():
@@ -143,8 +137,7 @@ def test_backward_mean_reduction_duplication_invariant():
     loss1, g1 = backward(params, batch)
     loss3, g3 = backward(params, tripled)
     assert loss3 == pytest.approx(loss1, rel=1e-12)
-    for a, b in zip(tree_leaves(g1), tree_leaves(g3)):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+    assert np.allclose(g1.flat, g3.flat, rtol=1e-12, atol=1e-14)
 
 
 def test_backward_zero_weights_zero_gradients():
@@ -153,7 +146,7 @@ def test_backward_zero_weights_zero_gradients():
     zeroed = Batch(x=batch.x, y=batch.y, w=np.zeros_like(batch.w))
     loss, grads = backward(params, zeroed)
     assert loss == 0.0
-    assert all(np.all(leaf == 0.0) for leaf in tree_leaves(grads))
+    assert np.all(grads.flat == 0.0)
 
 
 def test_hvp_matches_fd_of_gradients():
@@ -214,7 +207,7 @@ def test_meta_gradient_rejects_unknown_mode():
 
 def test_trace_unroll_requires_recording():
     theta = small_net(seed=0)
-    grads = tree_scale(theta, 0.0)
+    grads = theta.like(np.zeros_like(theta.flat))
     trace = AdaptationTrace(n_steps=2, adapted=theta, steps=None)
     with pytest.raises(UsageError):
         backprop_through_trace(grads, trace)
@@ -230,14 +223,11 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
     # 1.024. Verified against the trace unroll with the Hessian pinned.
     import taskmix.nn as nn_mod
 
-    monkeypatch.setattr(nn_mod, "loss_hvp", lambda p, b, d: tree_scale(d, 2.0))
+    monkeypatch.setattr(nn_mod, "loss_hvp", lambda p, b, d: d.like(2.0 * d.flat))
 
-    theta = ModelParams(
-        layers=[], head=HeadParams(weight=np.array([[1.0]]), bias=np.array([0.0]))
-    )
-    grads = ModelParams(
-        layers=[], head=HeadParams(weight=np.array([[1.6]]), bias=np.array([0.0]))
-    )
+    # head-only models: weight [[w]], bias [0]
+    theta = ModelParams(np.array([1.0, 0.0]), layout_for((1, 1)))
+    grads = ModelParams(np.array([1.6, 0.0]), layout_for((1, 1)))
     one = AdaptationTrace(
         n_steps=1, adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)]
     )
@@ -291,11 +281,23 @@ def test_tree_vector_roundtrip():
         vector_to_tree(vec[:-1], params)
 
 
-def test_tree_map_preserves_structure():
-    params = small_net(seed=1)
-    doubled = tree_map(lambda a: 2.0 * a, params)
+def test_views_share_the_flat_vector():
+    params = small_net(seed=1, dims=(4, 3, 5, 2))
+    doubled = params.like(2.0 * params.flat)
     assert isinstance(doubled, ModelParams)
     assert np.array_equal(doubled.head.weight, 2.0 * params.head.weight)
+    # every named array is a view into the one vector, in layout order
+    views = [a for l in params.layers for a in (l.weight, l.bias, l.slope)]
+    views += [params.head.weight, params.head.bias]
+    assert all(np.shares_memory(v, params.flat) for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.flat)
+    assert params.layout.size == params.flat.size == sum(v.size for v in views)
+    params.flat[-1] = 7.0
+    assert params.head.bias[-1] == 7.0
+    # the layout is computed once per geometry and shared
+    assert small_net(seed=2, dims=(4, 3, 5, 2)).layout is params.layout
+    with pytest.raises(ShapeError):
+        ModelParams(params.flat[:-1], params.layout)
 
 
 def test_all_finite_flag():

@@ -7,7 +7,7 @@ import pytest
 
 from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, sample_batch
 from taskmix.errors import DataError, TrainingDivergedError, UsageError
-from taskmix.nn import backward, tree_leaves
+from taskmix.nn import backward
 from taskmix.optim import AdamState, adam_step, cosine_lr, sgd_step
 from taskmix.rng import StreamBundle
 from taskmix.training import (
@@ -39,7 +39,7 @@ def test_inner_adapt_matches_manual_sgd():
     cur = params
     for batch in batches:
         _, grads = backward(cur, batch)
-        cur = sgd_step(cur, grads, 0.05)
+        cur = cur.like(sgd_step(cur.flat, grads.flat, 0.05))
     assert trees_equal(trace.adapted, cur)
     assert trace.n_steps == 3
     assert trace.steps is None
@@ -52,8 +52,24 @@ def test_inner_adapt_records_visited_parameters():
     assert len(trace.steps) == 2
     assert trace.steps[0].params is params
     _, g0 = backward(params, batches[0])
-    assert trees_equal(trace.steps[1].params, sgd_step(params, g0, 0.05))
+    assert trees_equal(trace.steps[1].params, params.like(sgd_step(params.flat, g0.flat, 0.05)))
     assert trace.steps[0].lr == 0.05
+
+
+def test_inner_adapt_trace_survives_writes_into_the_live_vector():
+    # each recorded step keeps the parameters its gradient was taken at,
+    # even when the adapted (live) vector is later written in place
+    params = small_net(seed=3)
+    batches = [random_batch(90 + k, b=6, d=4, c=2) for k in range(3)]
+    trace = inner_adapt(params, batches, 0.05, record=True)
+    recorded = [s.params.flat.copy() for s in trace.steps]
+    trace.adapted.flat[:] = np.nan
+    trace.adapted.layers[0].weight[...] = 5.0
+    assert all(np.array_equal(s.params.flat, r) for s, r in zip(trace.steps, recorded))
+    assert not any(np.shares_memory(s.params.flat, trace.adapted.flat) for s in trace.steps)
+    # the steps' vectors are distinct from one another too
+    flats = [s.params.flat for s in trace.steps]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(flats) for y in flats[i + 1:])
 
 
 def one_task_dataset(seed=21):
@@ -71,12 +87,13 @@ def test_meta_step_degenerates_to_supervised_adam():
     bundle = StreamBundle(4)
     theta = initial_params(ds, cfg, 4)
     rng = bundle.batch(task.id)
-    adam = AdamState.init(theta)
+    adam = AdamState.init(theta.flat)
     for _ in range(5):
         batch = sample_batch(task, "train", cfg.meta.batch_size, rng)
         _, grads = backward(theta, batch)
         lr = cosine_lr(adam.t, cfg.schedule)
-        adam, theta = adam_step(adam, theta, grads, lr)
+        adam, flat = adam_step(adam, theta.flat, grads.flat, lr)
+        theta = theta.like(flat)
     assert trees_equal(trained.params, theta)
 
 
@@ -84,7 +101,7 @@ def test_meta_step_counts_and_stats():
     ds = tiny_dataset(seed=5)
     cfg = tiny_config()
     theta = initial_params(ds, cfg, 0)
-    adam = AdamState.init(theta)
+    adam = AdamState.init(theta.flat)
     bundle = StreamBundle(0)
     theta2, adam2, stats = meta_step(theta, adam, ds.meta_train_tasks, cfg, bundle)
     assert stats["step"] == 0
@@ -101,10 +118,10 @@ def test_taskmix_changes_units_not_outer_steps():
     theta = initial_params(ds, plain_cfg, 1)
 
     _, adam_a, stats_a = meta_step(
-        theta, AdamState.init(theta), ds.meta_train_tasks, plain_cfg, StreamBundle(1)
+        theta, AdamState.init(theta.flat), ds.meta_train_tasks, plain_cfg, StreamBundle(1)
     )
     _, adam_b, stats_b = meta_step(
-        theta, AdamState.init(theta), ds.meta_train_tasks, mix_cfg, StreamBundle(1)
+        theta, AdamState.init(theta.flat), ds.meta_train_tasks, mix_cfg, StreamBundle(1)
     )
     # same number of outer updates either way
     assert adam_a.t == adam_b.t == 1
@@ -118,7 +135,7 @@ def test_meta_step_requires_tasks():
     cfg = tiny_config()
     theta = initial_params(ds, cfg, 0)
     with pytest.raises(DataError):
-        meta_step(theta, AdamState.init(theta), [], cfg, StreamBundle(0))
+        meta_step(theta, AdamState.init(theta.flat), [], cfg, StreamBundle(0))
 
 
 def test_meta_train_zero_steps_returns_init():
@@ -244,7 +261,8 @@ def test_mtl_returns_fresh_never_trained_head():
     assert np.array_equal(model.head.weight, reference.head.weight)
     assert np.array_equal(model.head.bias, reference.head.bias)
     # ... while the trunk moved away from it
-    assert not trees_equal(model.layers, reference.layers)
+    neck = reference.layout.neck_size
+    assert not np.array_equal(model.flat[:neck], reference.flat[:neck])
 
 
 def test_mtl_deterministic_and_finite():
@@ -253,7 +271,7 @@ def test_mtl_deterministic_and_finite():
     a = mtl_train(ds, cfg, seed=3)
     b = mtl_train(ds, cfg, seed=3)
     assert trees_equal(a, b)
-    assert all(np.isfinite(leaf).all() for leaf in tree_leaves(a))
+    assert np.isfinite(a.flat).all()
 
 
 def test_mtl_history(tmp_path):

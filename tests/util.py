@@ -6,7 +6,7 @@ import numpy as np
 
 from taskmix.config import RunConfig, from_dict
 from taskmix.data import Batch, one_hot
-from taskmix.nn import Geometry, init_params, tree_to_vector, vector_to_tree
+from taskmix.nn import Geometry, init_params
 from taskmix.synth import SynthSpec, generate
 
 
@@ -97,17 +97,5 @@ def tiny_config(**sections) -> RunConfig:
 
 
 def trees_equal(a, b) -> bool:
-    from taskmix.nn import tree_leaves
-
-    la, lb = tree_leaves(a), tree_leaves(b)
-    return len(la) == len(lb) and all(
-        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(la, lb)
-    )
-
-
-def params_vector(params) -> np.ndarray:
-    return tree_to_vector(params)
-
-
-def with_vector(vec: np.ndarray, template):
-    return vector_to_tree(vec, template)
+    """Same layout and bit-identical parameter vectors (for ModelParams)."""
+    return a.layout == b.layout and np.array_equal(a.flat, b.flat)
