@@ -15,7 +15,6 @@ from .config import (
     ModelConfig,
     RunConfig,
     from_dict,
-    load_config,
 )
 from .data import (
     Batch,
@@ -42,7 +41,6 @@ from .evaluation import (
     TrialSummary,
     render_report,
     run_method,
-    run_trials,
     summarize,
 )
 from .metrics import evaluate_model, macro_f1, predict_labels, split_macro_f1
@@ -61,7 +59,6 @@ from .nn import (
     backward,
     forward,
     init_params,
-    meta_gradient,
     weighted_ce,
 )
 from .optim import AdamState, EarlyStopper, Schedule, adam_step, cosine_lr, sgd_step

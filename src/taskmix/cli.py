@@ -6,22 +6,20 @@ seeds matrix with resumable cells), report (re-render a results directory).
 
 Every configuration key is overridable by a flag of the same dotted name
 (for example --meta.inner_lr 0.02); `--config` accepts a JSON file path or
-a bundled preset name (long, wide). Exit codes: 0 success, 2 configuration
+a preset name (long, wide). Exit codes: 0 success, 2 configuration
 error, 3 data error, 4 training divergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.resources
+import copy
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (
-    METHOD_AUGMENTATION,
     METHODS,
     RunConfig,
     from_dict,
@@ -36,45 +34,45 @@ from .errors import (
     DataError,
     NumericError,
     ShapeError,
+    TaskMixError,
     TrainingDivergedError,
     UsageError,
 )
-from .evaluation import MetricsReport, render_report, run_method, summarize
+from .evaluation import MetricsReport, render_report, run_method, summarize, train_phase
 from .nn import ModelParams
 from .synth import generate, preset
-from .training import meta_train, mtl_train
+
+# `--config` names usable in place of a file: full-scale hyperparameters (the
+# RunConfig defaults) matched to the two synthetic corpus shapes.
+PRESETS = {"wide": {}, "long": {"model": {"hidden": [128] * 6}}}
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
-                        help="JSON config file, or a bundled preset name (long, wide)")
+                        help="JSON config file, or a preset name (long, wide)")
     for dotted in leaf_types():
         parser.add_argument(f"--{dotted}", dest=dotted, metavar="V", default=None,
                             help=f"override config key {dotted}")
 
 
-def _read_config_text(name: str) -> str:
+def _read_config(name: str) -> dict:
+    """The config dict of a JSON file, or else of a preset of that name."""
     path = Path(name)
-    if path.exists():
-        return path.read_text()
-    if name in ("long", "wide"):
-        return (
-            importlib.resources.files("taskmix")
-            .joinpath("presets", f"{name}.json")
-            .read_text()
-        )
-    raise ConfigError(f"config file not found: {name}")
+    if not path.exists():
+        if name in PRESETS:
+            return copy.deepcopy(PRESETS[name])
+        raise ConfigError(f"config file not found: {name}")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: config must be a JSON object")
+    return data
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        try:
-            data = json.loads(_read_config_text(args.config))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
+    data = _read_config(args.config) if args.config else {}
     flags = vars(args)
     for dotted, tp in leaf_types().items():
         raw = flags.get(dotted)
@@ -173,26 +171,15 @@ def cmd_train(args) -> int:
     out = Path(_require(cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
-    log_path = out / "history.jsonl"
-    summary = {"method": cfg.method, "seed": seed}
-
-    if cfg.method == "vanilla":
-        raise ConfigError("method 'vanilla' has no training phase; use the experiment command")
-    if cfg.method == "mtl":
-        params = mtl_train(dataset, cfg, seed, log_path=log_path)
-    else:
-        meta_cfg = replace(
-            cfg, meta=replace(cfg.meta, augmentation=METHOD_AUGMENTATION[cfg.method])
-        )
-        model = meta_train(dataset, meta_cfg, seed, log_path=log_path)
-        params = model.params
-        summary.update(
-            stopped_at=model.stopped_at,
-            best_step=model.best_step,
-            best_value=model.best_value,
-        )
-
-    _write_json(out / "model.json", _params_to_jsonable(params))
+    model = train_phase(dataset, cfg.method, cfg, seed, out / "history.jsonl")
+    summary = {
+        "method": cfg.method,
+        "seed": seed,
+        "stopped_at": model.stopped_at,
+        "best_step": model.best_step,
+        "best_value": model.best_value,
+    }
+    _write_json(out / "model.json", _params_to_jsonable(model.params))
     _write_json(out / "summary.json", summary)
     _write_json(out / "config.json", to_dict(cfg))
     print(out / "model.json")
@@ -245,7 +232,11 @@ def cmd_experiment(args) -> int:
             if cell.exists():
                 report = _read_cell(cell)[1]
             else:
-                report = run_method(dataset, method, cfg, seed)
+                try:
+                    report = run_method(dataset, method, cfg, seed)
+                except TaskMixError as exc:
+                    exc.args = (f"method {method!r}, seed {seed}: {exc}",)
+                    raise
                 _write_json(cell, _cell_payload(report, method))
             reports.append(report)
         summaries.append(summarize(method, reports))

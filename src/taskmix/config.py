@@ -11,11 +11,9 @@ command line exposes as override flags.
 from __future__ import annotations
 
 import dataclasses
-import json
 import types
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError
 from .mixing import MixConfig
@@ -196,17 +194,6 @@ def _build(cls, data, path: str):
 def from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a nested dict, rejecting unknown keys."""
     return _build(RunConfig, data, "")
-
-
-def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return from_dict(data)
 
 
 # ---------------------------------------------------------------------------

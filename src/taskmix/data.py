@@ -150,7 +150,10 @@ def write_task_file(path, features: np.ndarray, labels: np.ndarray, n_classes: i
 
 def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Returns (features [n, D] f32, labels [n] i64, n_classes)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read task file ({exc.strerror})") from exc
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, version, n, dim, n_classes = _HEADER.unpack_from(raw)
@@ -261,12 +264,14 @@ def load_dataset(
         raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
 
     entries = manifest["tasks"]
-    if not entries:
+    if not isinstance(entries, list) or not entries:
         raise DataError(f"{manifest_path}: manifest has no tasks")
     dim = manifest.get("dim")
 
     raw_tasks = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: task entry {entry!r} is not an object")
         for key in ("id", "role", "file"):
             if key not in entry:
                 raise DataError(f"{manifest_path}: task entry missing {key!r}")
@@ -288,9 +293,12 @@ def load_dataset(
     tasks = []
     for entry, features, labels, n_classes in raw_tasks:
         if "splits" in entry:
-            splits = Splits(
-                *[np.asarray(entry["splits"][name], dtype=np.int64) for name in SPLIT_NAMES]
-            )
+            given = entry["splits"]
+            missing = [n for n in SPLIT_NAMES if not isinstance(given, dict) or n not in given]
+            if missing:
+                raise DataError(f"{manifest_path}: task {entry['id']}: splits lack "
+                                f"{', '.join(map(repr, missing))}")
+            splits = Splits(*[np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES])
         else:
             splits = auto_split(
                 labels, split_fractions, substream(split_seed, PURPOSE_SPLIT, entry["id"])
@@ -382,7 +390,11 @@ def full_split_batch(task: Task, split: str) -> Batch:
 def read_csv_features(csv_path) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse `label,f0,...,f{D-1}` rows into (features, labels, n_classes)."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
+    try:
+        fh = open(csv_path, newline="")
+    except OSError as exc:
+        raise DataError(f"{csv_path}: cannot read CSV file ({exc.strerror})") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

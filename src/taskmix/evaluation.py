@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 from .config import METHOD_AUGMENTATION, METHODS, RunConfig
 from .data import Dataset
-from .errors import ConfigError, DataError, TaskMixError
+from .errors import ConfigError, DataError
 from .metrics import evaluate_model
-from .training import finetune, initial_params, meta_train, mtl_train
+from .training import TrainedModel, finetune, initial_params, meta_train, mtl_train
 
 
 @dataclass
@@ -37,6 +37,18 @@ class TrialSummary:
     reports: list[MetricsReport]
 
 
+def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int,
+                log_path=None) -> TrainedModel:
+    """The training phase of a method: mtl_train, or meta_train with the
+    method's augmentation."""
+    if method == "mtl":
+        return mtl_train(dataset, cfg, seed, log_path)
+    if method not in METHOD_AUGMENTATION:
+        raise ConfigError(f"method {method!r} has no training phase")
+    meta_cfg = replace(cfg, meta=replace(cfg.meta, augmentation=METHOD_AUGMENTATION[method]))
+    return meta_train(dataset, meta_cfg, seed, log_path)
+
+
 def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> MetricsReport:
     """One experiment cell: train (when the method has a training phase),
     fine-tune each held-out task, score its test split."""
@@ -47,11 +59,8 @@ def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> Metr
 
     if method == "vanilla":
         theta = initial_params(dataset, cfg, seed)
-    elif method == "mtl":
-        theta = mtl_train(dataset, cfg, seed)
     else:
-        meta_cfg = replace(cfg, meta=replace(cfg.meta, augmentation=METHOD_AUGMENTATION[method]))
-        theta = meta_train(dataset, meta_cfg, seed).params
+        theta = train_phase(dataset, method, cfg, seed).params
 
     per_task = {}
     for task in dataset.meta_test_tasks:
@@ -70,20 +79,6 @@ def summarize(method: str, reports: list[MetricsReport]) -> TrialSummary:
     else:
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
     return TrialSummary(method=method, mean=mean, std=std, reports=reports)
-
-
-def run_trials(dataset: Dataset, method: str, cfg: RunConfig, seeds: list[int]) -> TrialSummary:
-    """The multi-seed protocol for one method; errors carry the failing seed."""
-    if not seeds:
-        raise ConfigError("run_trials needs at least one seed")
-    reports = []
-    for seed in seeds:
-        try:
-            reports.append(run_method(dataset, method, cfg, seed))
-        except TaskMixError as exc:
-            exc.args = (f"method {method!r}, seed {seed}: {exc.args[0] if exc.args else exc}",)
-            raise
-    return summarize(method, reports)
 
 
 def summary_to_dict(summary: TrialSummary) -> dict:

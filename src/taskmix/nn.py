@@ -339,13 +339,12 @@ class TraceStep:
 
 @dataclass
 class AdaptationTrace:
-    """Record of one inner-loop run: n steps from theta to `adapted`.
+    """Record of one inner-loop run from theta to `adapted`.
 
-    `steps` is None when the trace was not recorded (first-order training),
-    which is an error to unroll through unless n_steps is zero.
+    `steps` holds one entry per inner step, or is None when the trace was
+    not recorded (first-order training), which is an error to unroll through.
     """
 
-    n_steps: int
     adapted: ModelParams
     steps: list[TraceStep] | None
 
@@ -357,39 +356,10 @@ def backprop_through_trace(grads: ModelParams, trace: AdaptationTrace) -> ModelP
     a Jacobian factor (I - lr * H_j); applying the factors in reverse order
     turns the gradient at theta_n into the exact meta-gradient at theta.
     """
-    if trace.n_steps == 0:
-        return grads
     if trace.steps is None:
         raise UsageError("exact meta-gradient requires a recorded adaptation trace")
-    if len(trace.steps) != trace.n_steps:
-        raise UsageError(
-            f"trace has {len(trace.steps)} steps, expected {trace.n_steps}"
-        )
     g = grads
     for step in reversed(trace.steps):
         hv = loss_hvp(step.params, step.batch, g)
         g = g.like(g.flat - step.lr * hv.flat)
     return g
-
-
-def meta_gradient(
-    theta: ModelParams,
-    trace: AdaptationTrace | None,
-    query_batch,
-    mode: str = FIRST_ORDER,
-) -> ModelParams:
-    """Meta-gradient of the query loss w.r.t. theta.
-
-    first_order: gradients at the adapted parameters, treated as gradients at
-    theta. exact: additionally backpropagates through the unrolled inner-loop
-    updates, including the second-order curvature terms. Both coincide when no
-    inner steps were taken.
-    """
-    if mode not in GRAD_MODES:
-        raise ConfigError(f"unknown gradient mode {mode!r}; choose from {GRAD_MODES}")
-    if trace is None:
-        trace = AdaptationTrace(n_steps=0, adapted=theta, steps=[])
-    _, grads = backward(trace.adapted, query_batch)
-    if mode == FIRST_ORDER:
-        return grads
-    return backprop_through_trace(grads, trace)

@@ -1,4 +1,4 @@
-"""Training loops: episodic meta-training with optional augmentation,
+"""Training stages: episodic meta-training with optional augmentation,
 meta-test fine-tuning, and the joint multi-task baseline.
 
 One outer step of meta-training draws, per training task, a fresh support
@@ -17,13 +17,17 @@ Per-task meta-gradients are summed and applied in a single Adam update at
 the cosine-annealed learning rate. Every random draw comes from a substream
 keyed by (purpose, consumer), so toggling any augmentation never perturbs
 the draws of the base algorithm.
+
+All three stages differ only in their step and evaluation; one driver
+(`_fit`) runs the steps, the evaluation cadence, early stopping, the
+history and the divergence checks for each of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +68,7 @@ class TrainedModel:
 
     params always hold the early stopper's best snapshot (falling back to
     the final parameters when no evaluation ever ran). stopped_at is the
-    number of optimization steps actually executed.
+    number of optimization steps actually executed, one history record each.
     """
 
     params: ModelParams
@@ -74,20 +78,42 @@ class TrainedModel:
     best_value: float
 
 
-class _HistoryLog:
-    """Append-per-record JSON lines writer; inert when no path is given."""
+def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int, eval_every: int,
+         log_path) -> TrainedModel:
+    """Run up to max_steps of `step(params, k) -> (params', record)`.
 
-    def __init__(self, path):
-        self.fh = open(path, "w") if path else None
-
-    def write(self, record: dict) -> None:
-        if self.fh is not None:
-            self.fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
-            self.fh = None
+    After every eval_every-th step, `evaluate(params) -> (name, value)` adds
+    its value to the step's record and feeds the early stopper, which ends
+    the run once its patience runs out. Records go to the history and, one
+    JSON line each, to log_path (if given). A NumericError or a non-finite
+    record value ends the run with TrainingDivergedError at that step.
+    """
+    history: list[dict] = []
+    log = open(log_path, "w") if log_path else None
+    try:
+        for k in range(max_steps):
+            evaluated = (k + 1) % eval_every == 0
+            try:
+                params, record = step(params, k)
+                if evaluated:
+                    name, value = evaluate(params)
+                    record[name] = value
+            except NumericError as exc:
+                raise TrainingDivergedError(k, f"step {k}: {exc}") from exc
+            bad = [key for key, v in record.items() if not math.isfinite(v)]
+            if bad:
+                raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}")
+            history.append(record)
+            if log is not None:
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+            if evaluated and stopper.update(value, k, params):
+                break
+    finally:
+        if log is not None:
+            log.close()
+    best = stopper.best_params if stopper.best_params is not None else params
+    best_value = stopper.best_value if stopper.best_value is not None else math.nan
+    return TrainedModel(best, history, len(history), stopper.best_step, best_value)
 
 
 def model_geometry(dataset: Dataset, cfg: RunConfig) -> Geometry:
@@ -114,11 +140,17 @@ def inner_adapt(
         if record:
             steps.append(TraceStep(params=cur, batch=batch, lr=lr))
         cur = cur.like(sgd_step(cur.flat, grads.flat, lr))
-    return AdaptationTrace(n_steps=len(support_batches), adapted=cur, steps=steps)
+    return AdaptationTrace(adapted=cur, steps=steps)
 
 
-def _unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
-    """Meta-loss and meta-gradient of one task unit (real or synthetic)."""
+def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
+    """Meta-loss and meta-gradient of one task unit (real or synthetic).
+
+    Adapts theta on the support batches at cfg.meta.inner_lr, then takes the
+    query-loss gradient at the adapted parameters: as is under first_order,
+    pulled back through the inner loop under exact. With a metamix_rng, the
+    loss and gradient are the mean of the plain and a mixed query's.
+    """
     mode = cfg.meta.grad_mode
     trace = inner_adapt(theta, support, cfg.meta.inner_lr, record=(mode == EXACT))
     loss, grads = backward(trace.adapted, query)
@@ -170,26 +202,17 @@ def meta_step(
 
     total_loss = 0.0
     total_grads = None
-    try:
-        for key, support, query in units:
-            metamix_rng = bundle.beta(f"metamix/{key}") if use_metamix else None
-            loss, grads = _unit_gradient(theta, support, query, cfg, metamix_rng)
-            total_loss += loss
-            total_grads = grads.flat if total_grads is None else total_grads + grads.flat
-    except NumericError as exc:
-        raise TrainingDivergedError(step, f"outer step {step}: {exc}") from exc
-    if not math.isfinite(total_loss):
-        raise TrainingDivergedError(step, f"non-finite meta-loss at outer step {step}")
+    for key, support, query in units:
+        metamix_rng = bundle.beta(f"metamix/{key}") if use_metamix else None
+        loss, grads = unit_gradient(theta, support, query, cfg, metamix_rng)
+        total_loss += loss
+        total_grads = grads.flat if total_grads is None else total_grads + grads.flat
 
     lr = cosine_lr(step, cfg.schedule)
     adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)
     theta = theta.like(flat)
     stats = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(units)}
     return theta, adam_state, stats
-
-
-def _mean_validation_loss(theta: ModelParams, tasks: list[Task]) -> float:
-    return sum(split_loss(theta, t, "validation") for t in tasks) / len(tasks)
 
 
 def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> TrainedModel:
@@ -206,37 +229,19 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tr
     bundle = StreamBundle(seed)
     theta = init_params(model_geometry(dataset, cfg), bundle.init())
     adam_state = AdamState.init(theta.flat)
+
+    def step(theta, _):
+        nonlocal adam_state
+        theta, adam_state, stats = meta_step(theta, adam_state, tasks, cfg, bundle)
+        return theta, stats
+
+    def evaluate(theta):
+        total = sum(split_loss(theta, t, "validation") for t in tasks)
+        return "validation_loss", total / len(tasks)
+
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    log = _HistoryLog(log_path)
-    history: list[dict] = []
-    steps_run = 0
-    try:
-        for step in range(cfg.meta.max_steps):
-            theta, adam_state, stats = meta_step(theta, adam_state, tasks, cfg, bundle)
-            steps_run = step + 1
-            if (step + 1) % cfg.meta.eval_every == 0:
-                val = _mean_validation_loss(theta, tasks)
-                if not math.isfinite(val):
-                    raise TrainingDivergedError(step, f"non-finite validation loss at step {step}")
-                stats["validation_loss"] = val
-                history.append(stats)
-                log.write(stats)
-                if stopper.update(val, step, theta):
-                    break
-            else:
-                history.append(stats)
-                log.write(stats)
-    finally:
-        log.close()
-    best = stopper.best_params if stopper.best_params is not None else theta
-    best_value = stopper.best_value if stopper.best_value is not None else math.nan
-    return TrainedModel(
-        params=best,
-        history=history,
-        stopped_at=steps_run,
-        best_step=stopper.best_step,
-        best_value=best_value,
-    )
+    return _fit(theta, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every,
+                log_path)
 
 
 def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> TrainedModel:
@@ -252,42 +257,21 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
         raise UsageError(f"finetune targets meta_test tasks, got role {task.role!r}")
     batch = full_split_batch(task, "train")
     adam_state = AdamState.init(theta.flat)
+    lr = cfg.finetune.lr
+
+    def step(params, k):
+        nonlocal adam_state
+        loss, grads = backward(params, batch)
+        adam_state, flat = adam_step(adam_state, params.flat, grads.flat, lr)
+        return params.like(flat), {"step": k, "lr": lr, "train_loss": loss}
+
+    def evaluate(params):
+        return "validation_macro_f1", split_macro_f1(params, task, "validation")
+
     stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
     stopper.update(split_macro_f1(theta, task, "validation"), -1, theta)
-    params = theta
-    log = _HistoryLog(log_path)
-    history: list[dict] = []
-    steps_run = 0
-    try:
-        for step in range(cfg.finetune.max_steps):
-            loss, grads = backward(params, batch)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(step, f"non-finite loss at fine-tune step {step}")
-            adam_state, flat = adam_step(adam_state, params.flat, grads.flat, cfg.finetune.lr)
-            params = params.like(flat)
-            steps_run = step + 1
-            record = {"step": step, "lr": cfg.finetune.lr, "train_loss": loss}
-            if (step + 1) % cfg.finetune.eval_every == 0:
-                f1 = split_macro_f1(params, task, "validation")
-                record["validation_macro_f1"] = f1
-                history.append(record)
-                log.write(record)
-                if stopper.update(f1, step, params):
-                    break
-            else:
-                history.append(record)
-                log.write(record)
-    except NumericError as exc:
-        raise TrainingDivergedError(steps_run, f"fine-tune step {steps_run}: {exc}") from exc
-    finally:
-        log.close()
-    return TrainedModel(
-        params=stopper.best_params,
-        history=history,
-        stopped_at=steps_run,
-        best_step=stopper.best_step,
-        best_value=stopper.best_value,
-    )
+    return _fit(theta, step, evaluate, stopper, cfg.finetune.max_steps,
+                cfg.finetune.eval_every, log_path)
 
 
 def _restrict(batch: Batch, n_classes: int) -> Batch:
@@ -295,13 +279,14 @@ def _restrict(batch: Batch, n_classes: int) -> Batch:
     return Batch(x=batch.x, y=batch.y[:, :n_classes], w=batch.w[:n_classes])
 
 
-def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> ModelParams:
+def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> TrainedModel:
     """Joint multi-task pretraining of the shared trunk.
 
     Each step samples one batch per training task, runs it through the
     shared trunk and that task's private head (width = its own class
     count), sums the losses, and takes a single Adam step over everything.
-    The private heads are discarded; the returned model is the best-snapshot
+    Early stopping minimizes the mean validation loss under the private
+    heads, which are then discarded: the returned model is the best-snapshot
     trunk under a freshly initialized full-width head that was never
     trained.
     """
@@ -328,48 +313,36 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Mod
         a, b = spans[k]
         return ModelParams(np.concatenate([vec[:n_neck], vec[a:b]]), layouts[k])
 
-    def validation_loss(vec: np.ndarray) -> float:
+    adam_state = AdamState.init(state)
+
+    def step(vec, step_index):
+        nonlocal adam_state
+        total_loss = 0.0
+        grads = np.empty_like(vec)
+        for k, task in enumerate(tasks):
+            batch = _restrict(
+                sample_batch(task, "train", cfg.meta.batch_size, bundle.batch(task.id)),
+                task.n_classes,
+            )
+            loss, g = backward(task_model(vec, k), batch)
+            total_loss += loss
+            a, b = spans[k]
+            grads[a:b] = g.flat[n_neck:]
+            neck = g.flat[:n_neck]
+            grads[:n_neck] = grads[:n_neck] + neck if k else neck
+        lr = cosine_lr(adam_state.t, cfg.schedule)
+        adam_state, vec = adam_step(adam_state, vec, grads, lr)
+        return vec, {"step": step_index, "lr": lr, "mean_task_loss": total_loss / len(tasks)}
+
+    def evaluate(vec):
         total = 0.0
         for k, task in enumerate(tasks):
             batch = _restrict(full_split_batch(task, "validation"), task.n_classes)
             total += weighted_ce(forward(task_model(vec, k), batch.x), batch.y, batch.w)
-        return total / len(tasks)
+        return "validation_loss", total / len(tasks)
 
-    adam_state = AdamState.init(state)
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    log = _HistoryLog(log_path)
-    try:
-        for step in range(cfg.meta.max_steps):
-            total_loss = 0.0
-            grads = np.empty_like(state)
-            try:
-                for k, task in enumerate(tasks):
-                    batch = _restrict(
-                        sample_batch(task, "train", cfg.meta.batch_size, bundle.batch(task.id)),
-                        task.n_classes,
-                    )
-                    loss, g = backward(task_model(state, k), batch)
-                    total_loss += loss
-                    a, b = spans[k]
-                    grads[a:b] = g.flat[n_neck:]
-                    neck = g.flat[:n_neck]
-                    grads[:n_neck] = grads[:n_neck] + neck if k else neck
-            except NumericError as exc:
-                raise TrainingDivergedError(step, f"outer step {step}: {exc}") from exc
-            if not math.isfinite(total_loss):
-                raise TrainingDivergedError(step, f"non-finite joint loss at step {step}")
-            lr = cosine_lr(adam_state.t, cfg.schedule)
-            adam_state, state = adam_step(adam_state, state, grads, lr)
-            record = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(tasks)}
-            if (step + 1) % cfg.meta.eval_every == 0:
-                val = validation_loss(state)
-                record["validation_loss"] = val
-                log.write(record)
-                if stopper.update(val, step, state):
-                    break
-            else:
-                log.write(record)
-    finally:
-        log.close()
-    best = stopper.best_params if stopper.best_params is not None else state
-    return base.like(np.concatenate([best[:n_neck], base.flat[n_neck:]]))
+    model = _fit(state, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every,
+                 log_path)
+    trunk = model.params[:n_neck]
+    return replace(model, params=base.like(np.concatenate([trunk, base.flat[n_neck:]])))

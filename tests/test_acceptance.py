@@ -12,21 +12,19 @@ import pytest
 
 from taskmix.cli import main
 from taskmix.config import METHODS, from_dict
-from taskmix.data import compute_class_weights, load_dataset
-from taskmix.evaluation import run_trials
+from taskmix.data import compute_class_weights
 from taskmix.metrics import macro_f1
 from taskmix.mixing import mix_arrays, mix_batches, sample_beta
 from taskmix.nn import (
     EXACT,
     backward,
     forward,
-    meta_gradient,
     tree_to_vector,
     vector_to_tree,
     weighted_ce,
 )
 from taskmix.rng import substream
-from taskmix.training import inner_adapt, meta_train
+from taskmix.training import inner_adapt, meta_train, unit_gradient
 
 from util import (
     fd_gradient,
@@ -127,13 +125,13 @@ def test_c1_gradients_match_finite_differences():
 
     # curvature-aware meta-gradient vs differencing the whole inner loop
     worst_meta = 0.0
+    exact_cfg = from_dict({"meta": {"inner_lr": 0.05, "grad_mode": EXACT}})
     for n_steps in (1, 2, 3):
         for seed in (0, 1, 2):
             theta = small_net(seed, dims=(4, 3, 2))
             support = [random_batch(700 + 10 * seed + k, 8, 4, 2) for k in range(n_steps)]
             query = random_batch(900 + seed, 8, 4, 2)
-            trace = inner_adapt(theta, support, 0.05, record=True)
-            exact = meta_gradient(theta, trace, query, mode=EXACT)
+            _, exact = unit_gradient(theta, support, query, exact_cfg, None)
 
             def objective(vec):
                 p = vector_to_tree(vec, theta)
@@ -249,18 +247,20 @@ def test_c4_experiment_matrix_end_to_end(long_run):
     print(f"c4 PASS: 6 methods x 3 seeds in {elapsed:.1f}s")
 
 
-def test_c5_batch_mixing_never_hurts(long_run, wide_manifest):
+def test_c5_batch_mixing_never_hurts(long_run, wide_manifest, desk_config_path, workdir):
     means = report_means(long_run[0])
     long_gap = means["maml+taskmix"] - means["maml"]
     assert long_gap >= -0.02, f"long-format gap {long_gap:.3f}"
 
-    # same comparison on the second corpus shape, run in process
+    # same comparison on the second corpus shape
     start = time.monotonic()
-    ds = load_dataset(wide_manifest)
-    cfg = from_dict(json.loads(json.dumps(DESK_CONFIG)))
-    plain = run_trials(ds, "maml", cfg, cfg.seeds)
-    mixed = run_trials(ds, "maml+taskmix", cfg, cfg.seeds)
-    wide_gap = mixed.mean - plain.mean
+    out = workdir / "exp_wide"
+    code = main(["experiment", "--config", str(desk_config_path),
+                 "--dataset", str(wide_manifest), "--out", str(out),
+                 "--methods", "maml,maml+taskmix"])
+    assert code == 0
+    wide = report_means(out)
+    wide_gap = wide["maml+taskmix"] - wide["maml"]
     assert wide_gap >= -0.02, f"wide-format gap {wide_gap:.3f}"
 
     print(f"c5 PASS: gaps long {long_gap:+.3f}, wide {wide_gap:+.3f} "

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskmix.cli import main
-from taskmix.config import to_dict
+from taskmix.cli import _resolve_config, build_parser, main
+from taskmix.config import RunConfig, to_dict
 from taskmix.data import load_dataset, write_dataset
 
 from util import tiny_config, tiny_dataset
@@ -116,7 +116,11 @@ def test_train_mtl_branch(tmp_path):
     code = main(["train", "--config", str(cfg), "--dataset", str(manifest),
                  "--out", str(out), "--method", "mtl"])
     assert code == 0
-    assert json.loads((out / "summary.json").read_text())["method"] == "mtl"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["method"] == "mtl"
+    # the same bookkeeping as the meta-learning methods
+    assert {"stopped_at", "best_step", "best_value"} <= set(summary)
+    assert summary["stopped_at"] == len((out / "history.jsonl").read_text().splitlines())
 
 
 def test_train_vanilla_has_no_training_phase(tmp_path, capsys):
@@ -180,6 +184,10 @@ def test_invalid_config_value_rejected(tmp_path, capsys):
                  "--mix.eta", "-0.5"])
     assert code == 2
     assert "mix.eta" in capsys.readouterr().err
+    code = main(["train", "--dataset", str(manifest), "--out", str(tmp_path / "r"),
+                 "--meta.grad_mode", "second_order"])
+    assert code == 2
+    assert "meta.grad_mode" in capsys.readouterr().err
 
 
 def test_bundled_presets_resolve(tmp_path, capsys):
@@ -187,6 +195,26 @@ def test_bundled_presets_resolve(tmp_path, capsys):
     code = main(["train", "--config", "long", "--out", str(tmp_path / "r")])
     assert code == 2  # fails on the missing dataset, not on the preset
     assert "dataset" in capsys.readouterr().err
+
+
+def test_presets_are_the_defaults_with_their_trunk(tmp_path, monkeypatch):
+    def resolved(name):
+        return to_dict(_resolve_config(build_parser().parse_args(["train", "--config", name])))
+
+    monkeypatch.chdir(tmp_path)
+    wide, long = resolved("wide"), resolved("long")
+    assert wide == to_dict(RunConfig())
+    assert long["model"]["hidden"] == [128] * 6
+    assert {k: v for k, v in long.items() if k != "model"} == {
+        k: v for k, v in wide.items() if k != "model"
+    }
+    # an existing file of a preset's name wins over the preset
+    (tmp_path / "long").write_text(json.dumps({"model": {"hidden": [3]}}))
+    assert resolved("long")["model"]["hidden"] == [3]
+    # and resolving never edits the preset itself
+    resolved_twice = to_dict(_resolve_config(build_parser().parse_args(
+        ["train", "--config", "wide", "--model.hidden", "5"])))
+    assert resolved_twice["model"]["hidden"] == [5] and resolved("wide") == wide
 
 
 def experiment_argv(manifest, cfg, out, methods, seeds="0,1"):
@@ -349,3 +377,66 @@ def test_interrupted_cell_write_leaves_no_cell_behind(tmp_path, monkeypatch):
     assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
     for name in ("results/vanilla/seed_0.json", "report.txt", "report.json"):
         assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_experiment_names_the_failing_cell(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=27)
+    cfg = write_config(tmp_path, meta={"inner_lr": 1e30, "inner_steps": 3})
+    out = tmp_path / "exp"
+    assert main(experiment_argv(manifest, cfg, out, "vanilla,maml", seeds="0")) == 4
+    err = capsys.readouterr().err
+    assert "method 'maml', seed 0" in err and "step" in err
+    assert (out / "results" / "vanilla" / "seed_0.json").exists()
+    assert not (out / "results" / "maml" / "seed_0.json").exists()
+
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="")) == 2
+    assert "seeds" in capsys.readouterr().err
+
+
+def manifest_with(tmp_path, edit) -> Path:
+    """The tiny dataset's manifest after `edit(manifest dict)`."""
+    path = write_tiny_dataset(tmp_path, seed=44)
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def train_exit_code(tmp_path, manifest) -> int:
+    return main(["train", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "run")])
+
+
+def test_train_with_missing_task_file_is_a_data_error(tmp_path, capsys):
+    def drop_file(manifest):
+        manifest["tasks"][0]["file"] = "absent.tmxf"
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, drop_file)) == 3
+    assert "absent.tmxf" in capsys.readouterr().err
+
+
+def test_train_with_non_object_task_entry_is_a_data_error(tmp_path, capsys):
+    def scalar_entry(manifest):
+        manifest["tasks"][1] = 7
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, scalar_entry)) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+def test_train_with_incomplete_splits_is_a_data_error(tmp_path, capsys, split):
+    def drop_split(manifest):
+        del manifest["tasks"][0]["splits"][split]
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, drop_split)) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and f"splits lack {split!r}" in err
+
+
+def test_convert_with_missing_csv_is_a_data_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    code = main(["convert", "--csv", str(missing), "--id", "t0", "--role", "meta_train",
+                 "--out", str(tmp_path / "ds")])
+    assert code == 3
+    assert str(missing) in capsys.readouterr().err

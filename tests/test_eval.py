@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from taskmix.data import Splits, Task, compute_class_weights, full_split_batch
-from taskmix.errors import ConfigError, DataError, TaskMixError, UsageError
+from taskmix.errors import ConfigError, DataError, UsageError
 from taskmix.evaluation import (
     MetricsReport,
     render_report,
     run_method,
-    run_trials,
     summarize,
     summary_to_dict,
 )
@@ -184,22 +183,10 @@ def test_run_method_rejects_unknown():
         run_method(ds, "protonet", tiny_config(), seed=0)
 
 
-def test_run_trials_requires_seeds_and_names_failures():
-    ds = tiny_dataset(seed=27)
-    cfg = tiny_config()
-    with pytest.raises(ConfigError):
-        run_trials(ds, "vanilla", cfg, [])
-
-    bad = tiny_config(meta={"inner_lr": 1e30, "inner_steps": 3})
-    with pytest.raises(TaskMixError, match=r"method 'maml', seed 0"):
-        with np.errstate(all="ignore"):
-            run_trials(ds, "maml", bad, [0])
-
-
-def test_run_trials_aggregates():
+def test_summarize_aggregates_run_method_reports():
     ds = tiny_dataset(seed=28)
     cfg = tiny_config()
-    summary = run_trials(ds, "vanilla", cfg, [0, 1])
+    summary = summarize("vanilla", [run_method(ds, "vanilla", cfg, seed) for seed in (0, 1)])
     assert summary.method == "vanilla"
     assert len(summary.reports) == 2
     values = [r.average_macro_f1 for r in summary.reports]

@@ -12,7 +12,6 @@ from taskmix.data import Batch, one_hot
 from taskmix.errors import ConfigError, NumericError, ShapeError, UsageError
 from taskmix.nn import (
     EXACT,
-    FIRST_ORDER,
     PRELU_INIT_SLOPE,
     AdaptationTrace,
     Geometry,
@@ -24,15 +23,14 @@ from taskmix.nn import (
     init_params,
     layout_for,
     loss_hvp,
-    meta_gradient,
     prelu,
     tree_to_vector,
     vector_to_tree,
     weighted_ce,
 )
-from taskmix.training import inner_adapt
+from taskmix.training import inner_adapt, unit_gradient
 
-from util import fd_gradient, random_batch, rel_err, small_net, trees_equal
+from util import fd_gradient, random_batch, rel_err, small_net, tiny_config, trees_equal
 
 
 def hand_model(head_w=2.0, head_b=1.0):
@@ -170,13 +168,13 @@ def test_hvp_matches_fd_of_gradients():
 @pytest.mark.parametrize("n_steps", [1, 2, 3])
 def test_meta_gradient_matches_fd_of_meta_objective(n_steps):
     inner_lr = 0.05
+    cfg = tiny_config(meta={"inner_lr": inner_lr, "grad_mode": EXACT})
     for seed in (0, 1, 2):
         theta = small_net(seed, dims=(4, 3, 2))
         support = [random_batch(700 + 10 * seed + k, 8, 4, 2) for k in range(n_steps)]
         query = random_batch(900 + seed, 8, 4, 2)
 
-        trace = inner_adapt(theta, support, inner_lr, record=True)
-        exact = meta_gradient(theta, trace, query, mode=EXACT)
+        _, exact = unit_gradient(theta, support, query, cfg, None)
 
         def meta_objective(vec):
             p = vector_to_tree(vec, theta)
@@ -190,30 +188,21 @@ def test_meta_gradient_matches_fd_of_meta_objective(n_steps):
 def test_meta_gradient_modes_coincide_without_inner_steps():
     theta = small_net(seed=8)
     query = random_batch(77, 8, 4, 2)
-    trace = inner_adapt(theta, [], 0.05, record=True)
-    g_first = meta_gradient(theta, trace, query, mode=FIRST_ORDER)
-    g_exact = meta_gradient(theta, trace, query, mode=EXACT)
+    loss_first, g_first = unit_gradient(theta, [], query, tiny_config(), None)
+    exact_cfg = tiny_config(meta={"grad_mode": EXACT})
+    loss_exact, g_exact = unit_gradient(theta, [], query, exact_cfg, None)
+    assert loss_first == loss_exact
     assert trees_equal(g_first, g_exact)
-    # trace=None behaves as a zero-step trace
-    g_none = meta_gradient(theta, None, query, mode=EXACT)
-    assert trees_equal(g_first, g_none)
-
-
-def test_meta_gradient_rejects_unknown_mode():
-    theta = small_net(seed=0)
-    with pytest.raises(ConfigError):
-        meta_gradient(theta, None, random_batch(1, 4, 4, 2), mode="both")
+    # both are the plain query gradient at theta
+    assert trees_equal(g_first, backward(theta, query)[1])
 
 
 def test_trace_unroll_requires_recording():
     theta = small_net(seed=0)
     grads = theta.like(np.zeros_like(theta.flat))
-    trace = AdaptationTrace(n_steps=2, adapted=theta, steps=None)
+    trace = AdaptationTrace(adapted=theta, steps=None)
     with pytest.raises(UsageError):
         backprop_through_trace(grads, trace)
-    short = AdaptationTrace(n_steps=2, adapted=theta, steps=[])
-    with pytest.raises(UsageError):
-        backprop_through_trace(grads, short)
 
 
 def test_trace_unroll_quadratic_closed_form(monkeypatch):
@@ -228,17 +217,11 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
     # head-only models: weight [[w]], bias [0]
     theta = ModelParams(np.array([1.0, 0.0]), layout_for((1, 1)))
     grads = ModelParams(np.array([1.6, 0.0]), layout_for((1, 1)))
-    one = AdaptationTrace(
-        n_steps=1, adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)]
-    )
+    one = AdaptationTrace(adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)])
     out1 = backprop_through_trace(grads, one)
     assert out1.head.weight[0, 0] == pytest.approx(1.28, rel=1e-12)
 
-    two = AdaptationTrace(
-        n_steps=2,
-        adapted=theta,
-        steps=[TraceStep(params=theta, batch=None, lr=0.1)] * 2,
-    )
+    two = AdaptationTrace(adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)] * 2)
     out2 = backprop_through_trace(grads, two)
     assert out2.head.weight[0, 0] == pytest.approx(1.024, rel=1e-12)
 

@@ -1,6 +1,7 @@
 """Training loops: inner adaptation, outer steps, fine-tuning, MTL baseline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from util import random_batch, small_net, tiny_config, tiny_dataset, trees_equal
 def test_inner_adapt_zero_steps_is_identity():
     params = small_net(seed=0)
     trace = inner_adapt(params, [], 0.1, record=True)
-    assert trace.n_steps == 0
     assert trace.adapted is params
     assert trace.steps == []
 
@@ -41,7 +41,6 @@ def test_inner_adapt_matches_manual_sgd():
         _, grads = backward(cur, batch)
         cur = cur.like(sgd_step(cur.flat, grads.flat, 0.05))
     assert trees_equal(trace.adapted, cur)
-    assert trace.n_steps == 3
     assert trace.steps is None
 
 
@@ -179,18 +178,6 @@ def test_meta_train_divergence_reports_step():
     assert err.value.step == 0
 
 
-def test_meta_train_writes_history_jsonl(tmp_path):
-    ds = tiny_dataset(seed=12)
-    cfg = tiny_config(meta={"max_steps": 8, "eval_every": 4, "patience": 5})
-    log = tmp_path / "history.jsonl"
-    trained = meta_train(ds, cfg, seed=0, log_path=log)
-    lines = [json.loads(l) for l in log.read_text().splitlines()]
-    assert len(lines) == trained.stopped_at
-    assert all({"step", "lr", "mean_task_loss"} <= set(l) for l in lines)
-    assert "validation_loss" in lines[3]  # steps 4 and 8 carry evaluations
-    assert "validation_loss" not in lines[0]
-
-
 def test_finetune_role_guard():
     ds = tiny_dataset(seed=13)
     cfg = tiny_config()
@@ -241,21 +228,10 @@ def test_finetune_divergence():
         finetune(theta, ds.meta_test_tasks[0], cfg)
 
 
-def test_finetune_history(tmp_path):
-    ds = tiny_dataset(seed=18)
-    cfg = tiny_config(finetune={"max_steps": 10, "eval_every": 5, "patience": 5})
-    theta = initial_params(ds, cfg, 0)
-    log = tmp_path / "ft.jsonl"
-    finetune(theta, ds.meta_test_tasks[0], cfg, log_path=log)
-    lines = [json.loads(l) for l in log.read_text().splitlines()]
-    assert lines and all("train_loss" in l for l in lines)
-    assert any("validation_macro_f1" in l for l in lines)
-
-
 def test_mtl_returns_fresh_never_trained_head():
     ds = tiny_dataset(seed=19)
     cfg = tiny_config()
-    model = mtl_train(ds, cfg, seed=7)
+    model = mtl_train(ds, cfg, seed=7).params
     reference = initial_params(ds, cfg, 7)
     # the returned head is the untouched initialization draw ...
     assert np.array_equal(model.head.weight, reference.head.weight)
@@ -268,20 +244,77 @@ def test_mtl_returns_fresh_never_trained_head():
 def test_mtl_deterministic_and_finite():
     ds = tiny_dataset(seed=20)
     cfg = tiny_config()
-    a = mtl_train(ds, cfg, seed=3)
-    b = mtl_train(ds, cfg, seed=3)
+    a = mtl_train(ds, cfg, seed=3).params
+    b = mtl_train(ds, cfg, seed=3).params
     assert trees_equal(a, b)
     assert np.isfinite(a.flat).all()
 
 
-def test_mtl_history(tmp_path):
-    ds = tiny_dataset(seed=22)
-    cfg = tiny_config(meta={"max_steps": 8, "eval_every": 4})
-    log = tmp_path / "mtl.jsonl"
-    mtl_train(ds, cfg, seed=0, log_path=log)
+# The three stages share one loop; each names its loss and its evaluation.
+STAGE_KEYS = {
+    "meta_train": ("mean_task_loss", "validation_loss"),
+    "mtl_train": ("mean_task_loss", "validation_loss"),
+    "finetune": ("train_loss", "validation_macro_f1"),
+}
+
+
+def run_stage(stage, ds, log_path, **loop):
+    """Run one stage from the seed-0 initialization with the same step budget,
+    cadence and patience in the meta and fine-tune config sections; returns
+    (result, start parameters)."""
+    cfg = tiny_config(meta=loop, finetune=loop)
+    start = initial_params(ds, cfg, 0)
+    if stage == "finetune":
+        return finetune(start, ds.meta_test_tasks[0], cfg, log_path=log_path), start
+    train = {"meta_train": meta_train, "mtl_train": mtl_train}[stage]
+    return train(ds, cfg, 0, log_path=log_path), start
+
+
+@pytest.mark.parametrize("stage", list(STAGE_KEYS))
+def test_stage_loop_contract(stage, tmp_path, monkeypatch):
+    import taskmix.training as training
+
+    loss_key, eval_key = STAGE_KEYS[stage]
+    ds = tiny_dataset(seed=12)
+    log = tmp_path / "history.jsonl"
+    trained, _ = run_stage(stage, ds, log, max_steps=8, eval_every=3, patience=5)
     lines = [json.loads(l) for l in log.read_text().splitlines()]
-    assert lines
-    assert any("validation_loss" in l for l in lines)
+    assert trained.stopped_at == len(trained.history) == len(lines) == 8
+    assert lines == trained.history
+    for k, record in enumerate(trained.history):
+        assert record["step"] == k
+        assert {"step", "lr", loss_key} <= set(record)
+        assert (eval_key in record) == ((k + 1) % 3 == 0)
+
+    # no steps: the start parameters, no best step, an empty log
+    trained, start = run_stage(stage, ds, log, max_steps=0)
+    assert trained.stopped_at == 0 and trained.history == []
+    assert trained.best_step == -1
+    assert trees_equal(trained.params, start)
+    assert log.read_text() == ""
+
+    # the third update poisons the fourth step: NaN parameters (a NumericError
+    # inside the step) or an infinite loss (a non-finite record value)
+    for poison in ("params", "loss"):
+        updates = []
+
+        def poisoned_adam(state, params, grads, lr):
+            state, params = adam_step(state, params, grads, lr)
+            updates.append(lr)
+            return state, params * np.nan if poison == "params" and len(updates) == 3 else params
+
+        def poisoned_backward(params, batch):
+            loss, grads = backward(params, batch)
+            return (math.inf if poison == "loss" and len(updates) >= 3 else loss), grads
+
+        monkeypatch.setattr(training, "adam_step", poisoned_adam)
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        with pytest.raises(TrainingDivergedError) as err:
+            run_stage(stage, ds, log, max_steps=8, eval_every=100)
+        assert err.value.step == 3
+        assert "step 3" in str(err.value)
+        assert poison == "params" or loss_key in str(err.value)
+        assert len(log.read_text().splitlines()) == 3  # the steps before it
 
 
 def test_model_geometry_uses_dataset_shape():
