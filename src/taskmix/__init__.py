@@ -30,7 +30,6 @@ from .data import (
 from .errors import (
     ConfigError,
     DataError,
-    NumericError,
     ShapeError,
     TaskMixError,
     TrainingDivergedError,

@@ -32,7 +32,6 @@ from .data import ROLES, load_dataset, read_csv_features, write_dataset, write_t
 from .errors import (
     ConfigError,
     DataError,
-    NumericError,
     ShapeError,
     TaskMixError,
     TrainingDivergedError,
@@ -319,7 +318,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingDivergedError, NumericError, ShapeError) as exc:
+    except (TrainingDivergedError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

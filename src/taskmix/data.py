@@ -93,10 +93,6 @@ class Dataset:
     def meta_test_tasks(self) -> list[Task]:
         return [t for t in self.tasks if t.role == ROLE_META_TEST]
 
-    @property
-    def n_train_tasks(self) -> int:
-        return len(self.meta_train_tasks)
-
 
 # ---------------------------------------------------------------------------
 # Class weights
@@ -148,6 +144,12 @@ def write_task_file(path, features: np.ndarray, labels: np.ndarray, n_classes: i
         fh.write(body.tobytes())
 
 
+def _nonfinite_row(features: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or an infinity; None if there is none."""
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
 def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Returns (features [n, D] f32, labels [n] i64, n_classes)."""
     try:
@@ -170,6 +172,9 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
     if n and labels.max() >= n_classes:
         raise DataError(f"{path}: label {labels.max()} >= n_classes {n_classes}")
     features = body["feat"].astype(np.float32).reshape(n, dim)
+    row = _nonfinite_row(features)
+    if row is not None:
+        raise DataError(f"{path}: record {row} has a non-finite feature")
     return features, labels, int(n_classes)
 
 
@@ -225,14 +230,21 @@ def auto_split(
     return Splits(*[p.astype(np.int64) for p in parts])
 
 
-def _validate_splits(splits: Splits, n: int, task_id: str) -> None:
+def _given_splits(given, n: int, where: str) -> Splits:
+    """A manifest's explicit splits: three lists of integer indices in [0, n)
+    that are disjoint and cover all n examples."""
+    missing = [name for name in SPLIT_NAMES if not isinstance(given, dict) or name not in given]
+    if missing:
+        raise DataError(f"{where}: splits lack {', '.join(map(repr, missing))}")
+    for name in SPLIT_NAMES:
+        idx = given[name]
+        if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < n for i in idx):
+            raise DataError(f"{where}: split {name!r} must list integer indices in [0, {n})")
+    splits = Splits(*[np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES])
     seen = np.concatenate([splits.train, splits.validation, splits.test])
-    if len(seen) != n or len(np.unique(seen)) != len(seen):
-        raise DataError(
-            f"task {task_id}: splits must be disjoint and cover all {n} examples"
-        )
-    if len(seen) and (seen.min() < 0 or seen.max() >= n):
-        raise DataError(f"task {task_id}: split index out of range")
+    if len(seen) != n or len(np.unique(seen)) != n:
+        raise DataError(f"{where}: splits must be disjoint and cover all {n} examples")
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -268,42 +280,46 @@ def load_dataset(
         raise DataError(f"{manifest_path}: manifest has no tasks")
     dim = manifest.get("dim")
 
-    raw_tasks = []
+    raw_tasks, ids = [], set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise DataError(f"{manifest_path}: task entry {entry!r} is not an object")
         for key in ("id", "role", "file"):
             if key not in entry:
                 raise DataError(f"{manifest_path}: task entry missing {key!r}")
+        where = f"{manifest_path}: task {entry['id']!r}"
+        for key in ("id", "file"):
+            if not isinstance(entry[key], str):
+                raise DataError(f"{where}: {key!r} must be a string")
+        if entry["id"] in ids:
+            raise DataError(f"{where}: id appears more than once")
+        ids.add(entry["id"])
         if entry["role"] not in ROLES:
-            raise DataError(
-                f"task {entry['id']}: role must be one of {ROLES}, got {entry['role']!r}"
-            )
+            raise DataError(f"{where}: role must be one of {ROLES}, got {entry['role']!r}")
         features, labels, n_classes = read_task_file(manifest_path.parent / entry["file"])
         if dim is None:
             dim = features.shape[1]
         if features.shape[1] != dim:
             raise DataError(
-                f"task {entry['id']}: feature dimension {features.shape[1]} != dataset dim {dim}"
+                f"{where}: feature dimension {features.shape[1]} != dataset dim {dim}"
             )
-        raw_tasks.append((entry, features, labels, n_classes))
+        raw_tasks.append((entry, where, features, labels, n_classes))
 
-    c_max = max(n_classes for _, _, _, n_classes in raw_tasks)
+    c_max = max(n_classes for *_, n_classes in raw_tasks)
 
     tasks = []
-    for entry, features, labels, n_classes in raw_tasks:
+    for entry, where, features, labels, n_classes in raw_tasks:
         if "splits" in entry:
-            given = entry["splits"]
-            missing = [n for n in SPLIT_NAMES if not isinstance(given, dict) or n not in given]
-            if missing:
-                raise DataError(f"{manifest_path}: task {entry['id']}: splits lack "
-                                f"{', '.join(map(repr, missing))}")
-            splits = Splits(*[np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES])
+            splits = _given_splits(entry["splits"], len(labels), where)
         else:
             splits = auto_split(
                 labels, split_fractions, substream(split_seed, PURPOSE_SPLIT, entry["id"])
             )
-        _validate_splits(splits, len(labels), entry["id"])
+        # meta-training evaluates on validation; meta-test also scores on test
+        needed = SPLIT_NAMES if entry["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
+        empty = [name for name in needed if len(splits.get(name)) == 0]
+        if empty:
+            raise DataError(f"{where}: {entry['role']} task has an empty {empty[0]} split")
         weights = compute_class_weights(labels[splits.train], n_classes, c_max)
         metadata = {
             k: entry[k] for k in ("language", "domain") if k in entry
@@ -414,10 +430,15 @@ def read_csv_features(csv_path) -> tuple[np.ndarray, np.ndarray, int]:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataError(f"{csv_path}:{line_no}: non-numeric value ({exc})") from exc
+            if not 0 <= labels[-1] < 2**32 - 1:  # n_classes = max label + 1 is a u32
+                raise DataError(f"{csv_path}:{line_no}: label {labels[-1]} is negative or "
+                                f"too large")
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        raise DataError(f"{csv_path}: negative label")
-    features = np.asarray(rows, dtype=np.float32)
+    with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
+        features = np.asarray(rows, dtype=np.float32)
+    row = _nonfinite_row(features)
+    if row is not None:
+        raise DataError(f"{csv_path}:{row + 2}: feature value is not a finite float32")
     return features, labels_arr, int(labels_arr.max()) + 1

@@ -25,10 +25,6 @@ class UsageError(TaskMixError):
     """API called outside its contract (empty split, missing trace, ...)."""
 
 
-class NumericError(TaskMixError):
-    """Non-finite values where finite ones are required."""
-
-
 class TrainingDivergedError(TaskMixError):
     """Loss became non-finite during training; carries the step index."""
 

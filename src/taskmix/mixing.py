@@ -59,17 +59,21 @@ class SyntheticTaskBatch:
     provenance: tuple[int, int, float]
 
 
-def sample_gamma(shape_param: float, rng: np.random.Generator) -> float:
-    """One Gamma(shape_param, 1) draw via Marsaglia-Tsang squeeze rejection.
+def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, float]:
+    """One Gamma(shape_param, 1) draw and its logarithm, via Marsaglia-Tsang
+    squeeze rejection.
 
-    Shapes below 1 are boosted through Gamma(a+1) times U^(1/a).
+    Shapes below 1 are boosted through Gamma(a+1) times U^(1/a). For small
+    shapes that product can underflow to 0; its logarithm, log Gamma(a+1) +
+    log(U)/a, stays finite.
     """
     a = float(shape_param)
     if a <= 0:
         raise UsageError(f"gamma shape must be positive, got {a}")
     if a < 1.0:
         u = rng.random()
-        return sample_gamma(a + 1.0, rng) * u ** (1.0 / a)
+        g, log_g = sample_gamma(a + 1.0, rng)
+        return g * u ** (1.0 / a), log_g + (math.log(u) if u else -math.inf) / a
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
@@ -80,18 +84,25 @@ def sample_gamma(shape_param: float, rng: np.random.Generator) -> float:
         v = v * v * v
         u = rng.random()
         if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
+            break
         if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+            break
+    return d * v, math.log(d * v)
 
 
 def sample_beta(eta: float, rng: np.random.Generator) -> float:
-    """Beta(eta, eta) as the ratio of two gamma draws."""
+    """Beta(eta, eta) as g1 / (g1 + g2) of two gamma draws.
+
+    For small eta both draws can underflow to 0; the ratio then comes from
+    their logarithms, as the logistic function of log g1 - log g2.
+    """
     if eta <= 0:
         raise ConfigError(f"mix.eta must be positive, got {eta}")
-    g1 = sample_gamma(eta, rng)
-    g2 = sample_gamma(eta, rng)
-    return g1 / (g1 + g2)
+    g1, log_g1 = sample_gamma(eta, rng)
+    g2, log_g2 = sample_gamma(eta, rng)
+    if g1 + g2 > 0:
+        return g1 / (g1 + g2)
+    return 0.5 * (1.0 + math.tanh(0.5 * (log_g1 - log_g2)))
 
 
 def mix_coefficient(cfg: MixConfig, rng: np.random.Generator) -> float:

@@ -61,6 +61,3 @@ class StreamBundle:
 
     def beta(self, consumer: str) -> np.random.Generator:
         return self.get(PURPOSE_BETA, consumer)
-
-    def synth(self, task_id: str) -> np.random.Generator:
-        return self.get(PURPOSE_SYNTH, task_id)

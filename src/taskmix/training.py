@@ -20,7 +20,7 @@ the draws of the base algorithm.
 
 All three stages differ only in their step and evaluation; one driver
 (`_fit`) runs the steps, the evaluation cadence, early stopping, the
-history and the divergence checks for each of them.
+history and the divergence check for each of them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .config import AUG_BOTH, AUG_METAMIX, AUG_TASKMIX, RunConfig
 from .data import Batch, Dataset, Task, full_split_batch, sample_batch
 from .data import ROLE_META_TEST
-from .errors import DataError, NumericError, TrainingDivergedError, UsageError
+from .errors import DataError, TrainingDivergedError, UsageError
 from .metrics import split_loss, split_macro_f1
 from .mixing import metamix_augment, taskmix_synthesize
 from .nn import (
@@ -85,21 +85,20 @@ def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int, eval_eve
     After every eval_every-th step, `evaluate(params) -> (name, value)` adds
     its value to the step's record and feeds the early stopper, which ends
     the run once its patience runs out. Records go to the history and, one
-    JSON line each, to log_path (if given). A NumericError or a non-finite
-    record value ends the run with TrainingDivergedError at that step.
+    JSON line each, to log_path (if given). A non-finite record value ends
+    the run with TrainingDivergedError at that step: the numerics do not
+    check their inputs (data is checked when it is read), so non-finite
+    parameters show up here as a non-finite loss or evaluation.
     """
     history: list[dict] = []
     log = open(log_path, "w") if log_path else None
     try:
         for k in range(max_steps):
             evaluated = (k + 1) % eval_every == 0
-            try:
-                params, record = step(params, k)
-                if evaluated:
-                    name, value = evaluate(params)
-                    record[name] = value
-            except NumericError as exc:
-                raise TrainingDivergedError(k, f"step {k}: {exc}") from exc
+            params, record = step(params, k)
+            if evaluated:
+                name, value = evaluate(params)
+                record[name] = value
             bad = [key for key, v in record.items() if not math.isfinite(v)]
             if bad:
                 raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}")

@@ -19,8 +19,6 @@ from taskmix.nn import (
     EXACT,
     backward,
     forward,
-    tree_to_vector,
-    vector_to_tree,
     weighted_ce,
 )
 from taskmix.rng import substream
@@ -116,11 +114,11 @@ def test_c1_gradients_match_finite_differences():
         _, grads = backward(params, batch)
 
         def loss_at(vec):
-            p = vector_to_tree(vec, params)
+            p = params.like(vec)
             return weighted_ce(forward(p, batch.x), batch.y, batch.w)
 
-        fd = fd_gradient(loss_at, tree_to_vector(params), h=1e-6)
-        worst_backward = max(worst_backward, rel_err(tree_to_vector(grads), fd))
+        fd = fd_gradient(loss_at, params.flat.copy(), h=1e-6)
+        worst_backward = max(worst_backward, rel_err(grads.flat, fd))
     assert worst_backward < 1e-5
 
     # curvature-aware meta-gradient vs differencing the whole inner loop
@@ -134,12 +132,12 @@ def test_c1_gradients_match_finite_differences():
             _, exact = unit_gradient(theta, support, query, exact_cfg, None)
 
             def objective(vec):
-                p = vector_to_tree(vec, theta)
+                p = theta.like(vec)
                 adapted = inner_adapt(p, support, 0.05, record=False).adapted
                 return weighted_ce(forward(adapted, query.x), query.y, query.w)
 
-            fd = fd_gradient(objective, tree_to_vector(theta), h=1e-6)
-            worst_meta = max(worst_meta, rel_err(tree_to_vector(exact), fd))
+            fd = fd_gradient(objective, theta.flat.copy(), h=1e-6)
+            worst_meta = max(worst_meta, rel_err(exact.flat, fd))
     assert worst_meta < 1e-4
 
     elapsed = time.monotonic() - start

@@ -8,7 +8,7 @@ import pytest
 
 from taskmix.cli import _resolve_config, build_parser, main
 from taskmix.config import RunConfig, to_dict
-from taskmix.data import load_dataset, write_dataset
+from taskmix.data import load_dataset, read_task_file, write_dataset, write_task_file
 
 from util import tiny_config, tiny_dataset
 
@@ -440,3 +440,74 @@ def test_convert_with_missing_csv_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "ds")])
     assert code == 3
     assert str(missing) in capsys.readouterr().err
+
+
+def test_convert_with_non_finite_feature_is_a_data_error(tmp_path, capsys):
+    # 1e39 parses as a float but is infinite as float32
+    for bad in ("nan", "inf", "1e39"):
+        csv = tmp_path / "task.csv"
+        csv.write_text(csv_text(["0,1.0,2.0", f"1,3.0,{bad}", "0,5.0,6.0", "1,0.5,0.25"]))
+        code = main(["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 3
+        assert f"{csv}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_train_with_non_finite_feature_is_a_data_error(tmp_path, capsys, value):
+    manifest = write_tiny_dataset(tmp_path, seed=45)
+    # a meta_test task: `train` never samples it
+    entry = json.loads(manifest.read_text())["tasks"][-1]
+    assert entry["role"] == "meta_test"
+    path = manifest.parent / entry["file"]
+    features, labels, n_classes = read_task_file(path)
+    features[len(features) // 2, 1] = value
+    write_task_file(path, features, labels, n_classes)
+    assert train_exit_code(tmp_path, manifest) == 3
+    assert str(path) in capsys.readouterr().err
+
+
+# a float index is refused, not truncated to the integer below it
+@pytest.mark.parametrize("spoil", [lambda i: "a", str, lambda i: i + 0.5],
+                         ids=["letter", "digit-string", "float"])
+def test_train_with_non_integer_split_indices_is_a_data_error(tmp_path, capsys, spoil):
+    def replace_index(manifest):
+        validation = manifest["tasks"][0]["splits"]["validation"]
+        validation[0] = spoil(validation[0])
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, replace_index)) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "split 'validation' must list integer indices" in err
+
+
+@pytest.mark.parametrize("key", ["file", "id"])
+def test_train_with_non_string_task_field_is_a_data_error(tmp_path, capsys, key):
+    def number(manifest):
+        manifest["tasks"][0][key] = 5
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, number)) == 3
+    assert f"{key!r} must be a string" in capsys.readouterr().err
+
+
+def test_train_with_duplicate_task_ids_is_a_data_error(tmp_path, capsys):
+    def duplicate(manifest):
+        manifest["tasks"][-1]["id"] = manifest["tasks"][-2]["id"]
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, duplicate)) == 3
+    assert "appears more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role,split", [
+    ("meta_test", "train"), ("meta_test", "validation"), ("meta_test", "test"),
+    ("meta_train", "train"), ("meta_train", "validation"),
+])
+def test_train_with_empty_split_is_a_data_error(tmp_path, capsys, role, split):
+    def empty(manifest):
+        splits = next(t for t in manifest["tasks"] if t["role"] == role)["splits"]
+        other = "test" if split != "test" else "train"
+        splits[other] += splits[split]
+        splits[split] = []
+
+    assert train_exit_code(tmp_path, manifest_with(tmp_path, empty)) == 3
+    assert f"{role} task has an empty {split} split" in capsys.readouterr().err

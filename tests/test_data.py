@@ -258,6 +258,18 @@ def test_load_dataset_error_cases(tmp_path):
         load_dataset(test_only)
 
 
+def test_meta_train_task_may_leave_its_test_split_empty(tmp_path):
+    # meta-training reads only train and validation; meta_test tasks need all three
+    manifest_path = write_dataset(tiny_dataset(seed=6), tmp_path / "ds")
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["tasks"][0]
+    assert entry["role"] == ROLE_META_TRAIN
+    entry["splits"]["train"] += entry["splits"]["test"]
+    entry["splits"]["test"] = []
+    manifest_path.write_text(json.dumps(manifest))
+    assert len(load_dataset(manifest_path).tasks[0].splits.test) == 0
+
+
 def make_task(n=20, d=3, n_classes=2, c_max=4):
     rng = np.random.default_rng(31)
     labels = np.asarray([k % n_classes for k in range(n)], dtype=np.int64)
@@ -366,6 +378,12 @@ def test_read_csv_errors(tmp_path):
     with pytest.raises(DataError, match="negative"):
         read_csv_features(p)
 
+    # n_classes = max label + 1 must fit the task file's u32 header field
+    for label in (2**32 - 1, 10**20):
+        write_csv(p, ["0,1.0,2.0", f"{label},1.0,2.0"])
+        with pytest.raises(DataError, match=":3: label"):
+            read_csv_features(p)
+
     write_csv(p, [])
     with pytest.raises(DataError, match="no data"):
         read_csv_features(p)
@@ -373,7 +391,7 @@ def test_read_csv_errors(tmp_path):
 
 def test_dataset_role_views():
     ds = tiny_dataset(seed=5)
-    assert ds.n_train_tasks == 3
+    assert len(ds.meta_train_tasks) == 3
     assert len(ds.meta_test_tasks) == 2
     assert all(t.role == ROLE_META_TRAIN for t in ds.meta_train_tasks)
     assert all(t.role == ROLE_META_TEST for t in ds.meta_test_tasks)

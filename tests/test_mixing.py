@@ -90,10 +90,27 @@ def test_beta_moments_eta_two():
 def test_gamma_moments():
     rng = substream(11, "beta", "gamma")
     for shape, tol in ((0.5, 0.03), (2.0, 0.06), (5.0, 0.1)):
-        draws = np.array([sample_gamma(shape, rng) for _ in range(20_000)])
+        draws = np.array([sample_gamma(shape, rng)[0] for _ in range(20_000)])
         assert draws.min() > 0.0
         assert abs(draws.mean() - shape) < tol
         assert abs(draws.var() - shape) < 6.0 * tol
+
+
+def test_beta_small_eta_survives_gamma_underflow():
+    # At eta = 1e-3 both gamma draws often underflow to 0 (U^(1/eta) with
+    # 1/eta = 1000); the coefficient then comes from their logarithms.
+    # Beta(eta, eta) puts its mass at 0 and 1: mean 1/2, var 1/(4(2 eta + 1)).
+    rng = substream(12, "beta", "small-eta")
+    draws = np.array([sample_beta(1e-3, rng) for _ in range(2_000)])
+    assert np.isfinite(draws).all() and draws.min() >= 0.0 and draws.max() <= 1.0
+    assert abs(draws.mean() - 0.5) < 0.05
+    assert abs(draws.var() - 0.25 / 1.002) < 0.01
+    assert np.mean(np.minimum(draws, 1.0 - draws) < 0.01) > 0.95
+    # where the draw is representable, its logarithm is the log of the draw
+    for _ in range(200):
+        g, log_g = sample_gamma(0.3, rng)
+        if g > 0:
+            assert log_g == pytest.approx(np.log(g), rel=1e-12, abs=1e-12)
 
 
 def test_sampler_guards():
