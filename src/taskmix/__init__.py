@@ -53,7 +53,6 @@ from .mixing import (
 )
 from .nn import (
     AdaptationTrace,
-    Geometry,
     ModelParams,
     backward,
     forward,

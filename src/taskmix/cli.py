@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 from .config import (
+    AUG_NONE,
+    METHOD_AUGMENTATION,
     METHODS,
     RunConfig,
     from_dict,
@@ -70,7 +72,12 @@ def _read_config(name: str) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace, methods=None) -> RunConfig:
+    """The config of the file or preset, the override flags, then validated.
+
+    Each method trains with its own augmentation, so meta.augmentation must be
+    none or that of every method run (methods, default [cfg.method]).
+    """
     data = _read_config(args.config) if args.config else {}
     flags = vars(args)
     for dotted, tp in leaf_types().items():
@@ -79,6 +86,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             set_dotted(data, dotted, parse_flag_value(raw, tp, dotted))
     cfg = from_dict(data)
     cfg.validate()
+    for method in methods or [cfg.method]:
+        if cfg.meta.augmentation not in (AUG_NONE, METHOD_AUGMENTATION.get(method)):
+            raise ConfigError(f"meta.augmentation {cfg.meta.augmentation!r} does not match "
+                              f"method {method!r} (use 'none' or the method's own)")
     return cfg
 
 
@@ -210,7 +221,6 @@ def _read_cell(path: Path) -> tuple[str, MetricsReport]:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _resolve_config(args)
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     else:
@@ -218,6 +228,7 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    cfg = _resolve_config(args, methods)
     dataset = load_dataset(_require(cfg, "dataset"))
     out = Path(_require(cfg, "out"))
     results = out / "results"

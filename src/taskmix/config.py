@@ -150,7 +150,7 @@ def _coerce(value, tp, path: str):
         return _coerce(value, args[0], path)
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path)
-    if origin in (list, typing.List):
+    if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"config key {path!r} expects a list, got {value!r}")
         (elem_tp,) = typing.get_args(tp)
@@ -166,10 +166,6 @@ def _coerce(value, tp, path: str):
     if tp is str:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path!r} expects a string, got {value!r}")
-        return value
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {path!r} expects a boolean, got {value!r}")
         return value
     raise ConfigError(f"config key {path!r} has unsupported type {_type_name(tp)}")
 
@@ -243,7 +239,7 @@ def parse_flag_value(text: str, tp, dotted: str):
         if text.lower() in ("none", "null"):
             return None
         return parse_flag_value(text, args[0], dotted)
-    if origin in (list, typing.List):
+    if origin is list:
         (elem_tp,) = typing.get_args(tp)
         items = [s for s in text.split(",") if s != ""]
         return [parse_flag_value(s, elem_tp, dotted) for s in items]
@@ -252,12 +248,6 @@ def parse_flag_value(text: str, tp, dotted: str):
             return int(text)
         if tp is float:
             return float(text)
-        if tp is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if tp is str:
             return text
     except ValueError:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import DataError, UsageError
 
 MAGIC = b"TMXF"
 FORMAT_VERSION = 1
@@ -32,7 +32,10 @@ ROLE_META_TEST = "meta_test"
 ROLES = (ROLE_META_TRAIN, ROLE_META_TEST)
 
 SPLIT_NAMES = ("train", "validation", "test")
-DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
+# Tasks without explicit splits are split 70/10/20 per class, each from the
+# split substream of (SPLIT_SEED, task id).
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
+SPLIT_SEED = 1234
 
 
 @dataclass
@@ -60,10 +63,6 @@ class Task:
     splits: Splits
     class_weights: np.ndarray  # [C_max] float64, zero beyond n_classes
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_examples(self) -> int:
-        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
@@ -163,6 +162,8 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
         raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
+    if dim == 0:
+        raise DataError(f"{path}: feature dimension is 0")
     record = np.dtype([("label", "<u4"), ("feat", "<f4", (dim,))])
     expected = _HEADER.size + n * record.itemsize
     if len(raw) != expected:
@@ -183,41 +184,24 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def auto_split(
-    labels: np.ndarray, fractions: tuple[float, float, float], rng: np.random.Generator
-) -> Splits:
-    """Stratified train/validation/test split, deterministic per rng state.
+def auto_split(labels: np.ndarray, rng: np.random.Generator) -> Splits:
+    """Stratified 70/10/20 train/validation/test split, deterministic per rng state.
 
-    Per-class allocation uses largest remainders, with ties (and the class's
-    guaranteed first example) going to the train split, so every class is
-    represented in train whenever its fraction is positive.
+    Per-class allocation uses largest remainders, with ties going to the
+    train split; a class needs at least one example per split.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ConfigError(f"need three nonnegative fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-
-    n_positive = sum(1 for f in fractions if f > 0)
     buckets: list[list[np.ndarray]] = [[], [], []]
     for c in np.unique(labels):
         idx = rng.permutation(np.flatnonzero(labels == c))
         n_c = len(idx)
-        if n_c < n_positive:
-            raise DataError(
-                f"class {int(c)} has {n_c} examples, fewer than the {n_positive} splits"
-            )
-        base = [int(np.floor(f * n_c)) for f in fractions]
-        remainders = [f * n_c - b for f, b in zip(fractions, base)]
+        if n_c < 3:
+            raise DataError(f"class {int(c)} has {n_c} examples, fewer than the 3 splits")
+        base = [int(np.floor(f * n_c)) for f in SPLIT_FRACTIONS]
+        remainders = [f * n_c - b for f, b in zip(SPLIT_FRACTIONS, base)]
         for _ in range(n_c - sum(base)):
             k = int(np.argmax(remainders))
             base[k] += 1
             remainders[k] = -1.0
-        # guarantee one training example per class
-        if fractions[0] > 0 and base[0] == 0:
-            donor = int(np.argmax(base))
-            base[donor] -= 1
-            base[0] += 1
         pos = 0
         for k in range(3):
             buckets[k].append(idx[pos : pos + base[k]])
@@ -252,16 +236,12 @@ def _given_splits(given, n: int, where: str) -> Splits:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(
-    manifest_path,
-    split_fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-    split_seed: int = 1234,
-) -> Dataset:
+def load_dataset(manifest_path) -> Dataset:
     """Load and fully validate a dataset from its manifest.
 
-    Tasks without explicit splits in the manifest are split here, stratified
-    by class, deterministically from split_seed. Class weights are always
-    recomputed from the train split.
+    Tasks without explicit splits in the manifest are split here (see
+    auto_split), keyed by SPLIT_SEED and the task id. Class weights are
+    always recomputed from the train split.
     """
     from .rng import PURPOSE_SPLIT, substream
 
@@ -312,9 +292,7 @@ def load_dataset(
         if "splits" in entry:
             splits = _given_splits(entry["splits"], len(labels), where)
         else:
-            splits = auto_split(
-                labels, split_fractions, substream(split_seed, PURPOSE_SPLIT, entry["id"])
-            )
+            splits = auto_split(labels, substream(SPLIT_SEED, PURPOSE_SPLIT, entry["id"]))
         # meta-training evaluates on validation; meta-test also scores on test
         needed = SPLIT_NAMES if entry["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
         empty = [name for name in needed if len(splits.get(name)) == 0]
@@ -342,7 +320,7 @@ def load_dataset(
     return Dataset(tasks=tasks, dim=int(dim), c_max=int(c_max))
 
 
-def write_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json") -> Path:
+def write_dataset(dataset: Dataset, out_dir) -> Path:
     """Write one TMXF file per task plus a manifest carrying explicit splits."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,7 +337,7 @@ def write_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json
         entry.update(task.metadata)
         entries.append(entry)
     manifest = {"dim": dataset.dim, "tasks": entries}
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
 

@@ -31,22 +31,17 @@ class MixConfig:
     """Augmentation knobs shared by query mixup and synthetic tasks.
 
     n_synthetic None means "as many synthetic tasks as real training tasks";
-    0 disables synthesis entirely. force_lambda pins every coefficient to a
-    constant instead of drawing from Beta(eta, eta); it exists so tests can
-    collapse the augmented paths onto the unaugmented ones exactly.
+    0 disables synthesis entirely.
     """
 
     eta: float = 0.5
     n_synthetic: int | None = None
-    force_lambda: float | None = None
 
     def validate(self) -> None:
         if not (self.eta > 0):
             raise ConfigError(f"mix.eta must be positive, got {self.eta}")
         if self.n_synthetic is not None and self.n_synthetic < 0:
             raise ConfigError(f"mix.n_synthetic must be >= 0, got {self.n_synthetic}")
-        if self.force_lambda is not None and not (0.0 <= self.force_lambda <= 1.0):
-            raise ConfigError(f"mix.force_lambda must lie in [0, 1], got {self.force_lambda}")
 
 
 @dataclass
@@ -105,12 +100,6 @@ def sample_beta(eta: float, rng: np.random.Generator) -> float:
     return 0.5 * (1.0 + math.tanh(0.5 * (log_g1 - log_g2)))
 
 
-def mix_coefficient(cfg: MixConfig, rng: np.random.Generator) -> float:
-    if cfg.force_lambda is not None:
-        return float(cfg.force_lambda)
-    return sample_beta(cfg.eta, rng)
-
-
 def mix_arrays(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """lam*a + (1-lam)*b with exact endpoints.
 
@@ -144,7 +133,7 @@ def metamix_augment(batch: Batch, cfg: MixConfig, rng: np.random.Generator) -> B
     batch can only pair with itself and comes back unchanged.
     """
     perm = rng.permutation(batch.x.shape[0])
-    lam = mix_coefficient(cfg, rng)
+    lam = sample_beta(cfg.eta, rng)
     partner = Batch(x=batch.x[perm], y=batch.y[perm], w=batch.w)
     return mix_batches(batch, partner, lam)
 
@@ -172,7 +161,7 @@ def taskmix_synthesize(
     for _ in range(n_syn):
         i = int(rng.integers(0, len(per_task)))
         j = int(rng.integers(0, len(per_task)))
-        lam = mix_coefficient(cfg, rng)
+        lam = sample_beta(cfg.eta, rng)
         support_i, query_i = per_task[i]
         support_j, query_j = per_task[j]
         if len(support_i) != len(support_j):

@@ -21,27 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
 
 FIRST_ORDER = "first_order"
 EXACT = "exact"
 GRAD_MODES = (FIRST_ORDER, EXACT)
 
 PRELU_INIT_SLOPE = 0.25
-
-
-@dataclass
-class Geometry:
-    """Layer widths: input dim, neck hidden widths, head class count."""
-
-    input_dim: int
-    hidden: list[int]
-    n_classes: int
-
-    def validate(self) -> None:
-        dims = [self.input_dim, *self.hidden, self.n_classes]
-        if any(int(d) < 1 for d in dims):
-            raise ConfigError(f"geometry dimensions must be >= 1, got {dims}")
 
 
 @dataclass
@@ -139,12 +125,13 @@ class ModelParams:
 
 
 def init_params(
-    geometry: Geometry, rng: np.random.Generator, dtype=np.float32
+    dims: tuple[int, ...], rng: np.random.Generator, dtype=np.float32
 ) -> ModelParams:
-    """Glorot-uniform weights, zero biases, PReLU slopes at 0.25."""
-    geometry.validate()
-    dims = (geometry.input_dim, *geometry.hidden, geometry.n_classes)
-    layout = layout_for(tuple(int(d) for d in dims))
+    """Glorot-uniform weights, zero biases, PReLU slopes at 0.25.
+
+    dims is (input_dim, *hidden, n_classes), as in layout_for.
+    """
+    layout = layout_for(dims)
     params = ModelParams(np.zeros(layout.size, dtype=dtype), layout)
 
     def glorot(weight: np.ndarray) -> None:

@@ -21,39 +21,32 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     return params - lr * grads
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray  # first moment, same layout as the parameter vector
     v: np.ndarray  # second moment
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(
-        cls, params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ):
-        return cls(
-            m=np.zeros_like(params),
-            v=np.zeros_like(params),
-            t=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def init(cls, params: np.ndarray):
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
     """One bias-corrected Adam update of a flat vector; returns (new_state, new_params)."""
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * state.m + (1.0 - b1) * grads
     v = b2 * state.v + (1.0 - b2) * grads * grads
     mc = 1.0 - b1**t
     vc = 1.0 - b2**t
-    new_params = params - lr * (m / mc) / (np.sqrt(v / vc) + state.eps)
-    return AdamState(m=m, v=v, t=t, beta1=b1, beta2=b2, eps=state.eps), new_params
+    new_params = params - lr * (m / mc) / (np.sqrt(v / vc) + ADAM_EPS)
+    return AdamState(m=m, v=v, t=t), new_params
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    DEFAULT_FRACTIONS,
     Dataset,
     ROLE_META_TEST,
     ROLE_META_TRAIN,
@@ -101,9 +100,9 @@ def _zipf_counts(n: int, n_classes: int, exponent: float) -> np.ndarray:
 
 
 def _make_task(
-    task_id: str, role: str, spec: SynthSpec, palette: np.ndarray, seed: int, c_max: int
+    task_id: str, role: str, spec: SynthSpec, palette: np.ndarray, c_max: int
 ) -> Task:
-    rng = substream(seed, PURPOSE_SYNTH, task_id)
+    rng = substream(spec.seed, PURPOSE_SYNTH, task_id)
     n_classes = int(rng.integers(spec.classes_min, spec.classes_max + 1))
     centroid_ids = rng.choice(spec.palette_size, size=n_classes, replace=False)
     rotation = _rotation(spec.dim, spec.rotation_strength, rng)
@@ -118,7 +117,7 @@ def _make_task(
     order = rng.permutation(spec.examples_per_task)
     features, labels = features[order].astype(np.float32), labels[order]
 
-    splits = auto_split(labels, DEFAULT_FRACTIONS, substream(seed, PURPOSE_SPLIT, task_id))
+    splits = auto_split(labels, substream(spec.seed, PURPOSE_SPLIT, task_id))
     weights = compute_class_weights(labels[splits.train], n_classes, c_max)
     return Task(
         id=task_id,
@@ -132,28 +131,28 @@ def _make_task(
     )
 
 
-def generate(spec: SynthSpec, seed: int | None = None) -> Dataset:
+def generate(spec: SynthSpec) -> Dataset:
     """Build a full dataset (tasks, splits, class weights) in memory.
 
-    Determinism contract: every random choice flows from (seed, task id)
-    substreams, so regenerating with the same spec and seed is bit-identical
-    and independent of task iteration order. seed defaults to spec.seed.
+    Determinism contract: every random choice flows from (spec.seed, task id)
+    substreams, so regenerating with the same spec is bit-identical and
+    independent of task iteration order.
     """
     spec.validate()
-    seed = spec.seed if seed is None else int(seed)
-    palette = _palette(spec, substream(seed, PURPOSE_SYNTH, "palette"))
+    palette = _palette(spec, substream(spec.seed, PURPOSE_SYNTH, "palette"))
 
     # class counts are drawn per task, so fix the padded width first
     plan = [(f"train_{i:02d}", ROLE_META_TRAIN) for i in range(spec.n_train_tasks)]
     plan += [(f"test_{i:02d}", ROLE_META_TEST) for i in range(spec.n_test_tasks)]
     widths = [
-        int(substream(seed, PURPOSE_SYNTH, task_id).integers(spec.classes_min, spec.classes_max + 1))
+        int(substream(spec.seed, PURPOSE_SYNTH, task_id).integers(spec.classes_min,
+                                                                  spec.classes_max + 1))
         for task_id, _ in plan
     ]
     c_max = max(widths)
 
     tasks = [
-        _make_task(task_id, role, spec, palette, seed, c_max) for task_id, role in plan
+        _make_task(task_id, role, spec, palette, c_max) for task_id, role in plan
     ]
     return Dataset(tasks=tasks, dim=spec.dim, c_max=c_max)
 

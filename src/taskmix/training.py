@@ -7,8 +7,8 @@ train split). Augmentation hooks plug in here:
 
   * metamix: each task also contributes the gradient of a mixed query
     batch; the task's meta-loss is the mean of the plain and mixed query
-    losses, so forcing the coefficient to 1 reproduces the unaugmented
-    trajectory bit for bit;
+    losses, so a coefficient of 1 reproduces the unaugmented trajectory
+    bit for bit;
   * taskmix: the drawn batches of random task pairs are blended into
     synthetic tasks appended to the step's task set, each adapted and
     differentiated exactly like a real task.
@@ -40,7 +40,6 @@ from .mixing import metamix_augment, taskmix_synthesize
 from .nn import (
     EXACT,
     AdaptationTrace,
-    Geometry,
     ModelParams,
     TraceStep,
     backprop_through_trace,
@@ -115,13 +114,10 @@ def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int, eval_eve
     return TrainedModel(best, history, len(history), stopper.best_step, best_value)
 
 
-def model_geometry(dataset: Dataset, cfg: RunConfig) -> Geometry:
-    return Geometry(dataset.dim, list(cfg.model.hidden), dataset.c_max)
-
-
 def initial_params(dataset: Dataset, cfg: RunConfig, seed: int) -> ModelParams:
     """Fresh Glorot initialization from the seed's init substream."""
-    return init_params(model_geometry(dataset, cfg), StreamBundle(seed).init())
+    dims = (dataset.dim, *cfg.model.hidden, dataset.c_max)
+    return init_params(dims, StreamBundle(seed).init())
 
 
 def inner_adapt(
@@ -226,7 +222,7 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tr
     if not tasks:
         raise DataError("meta-training requires at least one meta_train task")
     bundle = StreamBundle(seed)
-    theta = init_params(model_geometry(dataset, cfg), bundle.init())
+    theta = initial_params(dataset, cfg, seed)
     adam_state = AdamState.init(theta.flat)
 
     def step(theta, _):
@@ -250,7 +246,8 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
     stopping maximizes validation macro F1 (argmax masked to the task's own
     classes). The pre-training parameters participate as the baseline
     evaluation, so fine-tuning can never return something worse than what
-    it started from.
+    it started from. Non-finite parameters score NaN, which `_fit` reports
+    as divergence.
     """
     if task.role != ROLE_META_TEST:
         raise UsageError(f"finetune targets meta_test tasks, got role {task.role!r}")
@@ -265,6 +262,9 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
         return params.like(flat), {"step": k, "lr": lr, "train_loss": loss}
 
     def evaluate(params):
+        # argmax over NaN logits is class 0, so a non-finite model would still score
+        if not params.all_finite():
+            return "validation_macro_f1", math.nan
         return "validation_macro_f1", split_macro_f1(params, task, "validation")
 
     stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
@@ -294,9 +294,8 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tra
         raise DataError("mtl_train requires at least one meta_train task")
     bundle = StreamBundle(seed)
     init_rng = bundle.init()
-    base = init_params(model_geometry(dataset, cfg), init_rng)
-    neck_width = cfg.model.hidden[-1] if cfg.model.hidden else dataset.dim
-    heads = [init_params(Geometry(neck_width, [], t.n_classes), init_rng) for t in tasks]
+    base = init_params((dataset.dim, *cfg.model.hidden, dataset.c_max), init_rng)
+    heads = [init_params((base.layout.dims[-2], t.n_classes), init_rng) for t in tasks]
 
     # One flat state: the shared neck, then every task's private head. A
     # task's model is the neck followed by its own head.

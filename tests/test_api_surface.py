@@ -1,7 +1,8 @@
 """The package carries no API that only tests call.
 
-Every public top-level function and class in src/taskmix/*.py must be
-referenced somewhere other than its own definition: by code in a package
+Every public top-level function and class in src/taskmix/*.py, and every
+public method and property of those classes, must be referenced somewhere
+other than its own definition: by code in a package
 module (not __init__.py, whose re-exports call nothing), by the benchmark
 harness under perfbench/ (which also names traced functions in strings such
 as "nn.backward"), or as a console-script entry point in pyproject.toml.
@@ -28,6 +29,20 @@ def used_names(tree, with_strings=False):
                 yield word, node.lineno
 
 
+def public_definitions(tree):
+    """(label, node) of every public top-level function and class, and of
+    every public method or property of those classes (dataclass fields are
+    not definitions here)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_definition_has_a_caller_outside_the_tests():
     modules = {
         path.name: ast.parse(path.read_text())
@@ -44,9 +59,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 
     uncalled = []
     for module, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for label, node in public_definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
             referenced = node.name in outside or any(
                 word == node.name and not (other == module and line in own)
@@ -54,5 +67,5 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                 for word, line in words
             )
             if not referenced:
-                uncalled.append(f"{module}: {node.name}")
+                uncalled.append(f"{module}: {label}")
     assert uncalled == [], "public definitions nothing outside the tests uses"

@@ -145,6 +145,11 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
     assert code == 2
     assert "meta.iner_lr" in capsys.readouterr().err
+    # the removed coefficient pin is an unknown key like any other
+    bad.write_text(json.dumps({"mix": {"force_lambda": 1.0}}))
+    code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "mix.force_lambda" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -188,6 +193,16 @@ def test_invalid_config_value_rejected(tmp_path, capsys):
                  "--meta.grad_mode", "second_order"])
     assert code == 2
     assert "meta.grad_mode" in capsys.readouterr().err
+    code = main(["train", "--dataset", str(manifest), "--out", str(tmp_path / "r"),
+                 "--model.hidden", "4,0"])
+    assert code == 2
+    assert "model.hidden" in capsys.readouterr().err
+    # each method sets its own augmentation; another one would be ignored
+    code = main(["train", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "r"), "--method", "maml",
+                 "--meta.augmentation", "taskmix"])
+    assert code == 2
+    assert "meta.augmentation" in capsys.readouterr().err
 
 
 def test_bundled_presets_resolve(tmp_path, capsys):
@@ -308,6 +323,27 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--meta.inner_lr", "1e30"])
     assert code == 4
     assert "step" in capsys.readouterr().err
+    # one overflowing fine-tune update must not be scored as a model
+    code = main(experiment_argv(manifest, cfg, tmp_path / "exp", "vanilla", seeds="0")
+                + ["--finetune.lr", "1e200", "--finetune.max_steps", "1",
+                   "--finetune.eval_every", "1"])
+    assert code == 4
+    assert "non-finite validation_macro_f1 at step 0" in capsys.readouterr().err
+
+
+def test_augmentation_must_match_every_method_run(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=42)
+    cfg = write_config(tmp_path, meta={"max_steps": 0}, finetune={"max_steps": 0})
+    base = ["--config", str(cfg), "--dataset", str(manifest), "--out", str(tmp_path / "run")]
+    for argv in (["train", "--method", "mtl"],
+                 ["experiment", "--methods", "maml+taskmix,maml+metamix"],
+                 ["experiment"]):
+        assert main(argv + base + ["--meta.augmentation", "taskmix"]) == 2
+        assert "meta.augmentation 'taskmix'" in capsys.readouterr().err
+    assert main(["train", "--method", "maml+taskmix", "--meta.augmentation", "taskmix"]
+                + base) == 0
+    assert main(["experiment", "--methods", "maml+taskmix", "--meta.augmentation", "taskmix"]
+                + base) == 0
 
 
 def test_experiment_resume_with_truncated_cell_is_a_data_error(tmp_path, capsys):
@@ -488,6 +524,20 @@ def test_train_with_non_string_task_field_is_a_data_error(tmp_path, capsys, key)
 
     assert train_exit_code(tmp_path, manifest_with(tmp_path, number)) == 3
     assert f"{key!r} must be a string" in capsys.readouterr().err
+
+
+def test_train_with_zero_width_features_is_a_data_error(tmp_path, capsys):
+    def zero_width(manifest):
+        manifest["dim"] = 0
+        for entry in manifest["tasks"]:
+            path = tmp_path / "data" / entry["file"]
+            features, labels, n_classes = read_task_file(path)
+            write_task_file(path, features[:, :0], labels, n_classes)
+
+    manifest = manifest_with(tmp_path, zero_width)
+    assert train_exit_code(tmp_path, manifest) == 3
+    first = json.loads(manifest.read_text())["tasks"][0]["file"]
+    assert f"{first}: feature dimension is 0" in capsys.readouterr().err
 
 
 def test_train_with_duplicate_task_ids_is_a_data_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from taskmix.data import (
-    DEFAULT_FRACTIONS,
     FORMAT_VERSION,
     MAGIC,
     ROLE_META_TEST,
@@ -24,7 +23,7 @@ from taskmix.data import (
     write_dataset,
     write_task_file,
 )
-from taskmix.errors import ConfigError, DataError, UsageError
+from taskmix.errors import DataError, UsageError
 from taskmix.rng import PURPOSE_SPLIT, substream
 
 from util import tiny_dataset
@@ -127,7 +126,7 @@ def stratified_labels(counts):
 def test_auto_split_is_stratified_and_covering():
     labels = stratified_labels([40, 25, 10])
     rng = np.random.default_rng(0)
-    splits = auto_split(labels, DEFAULT_FRACTIONS, rng)
+    splits = auto_split(labels, rng)
     all_idx = np.concatenate([splits.train, splits.validation, splits.test])
     assert len(np.unique(all_idx)) == len(labels)
     for c, n_c in enumerate([40, 25, 10]):
@@ -137,25 +136,10 @@ def test_auto_split_is_stratified_and_covering():
         assert np.sum(labels[splits.test] == c) >= 1
 
 
-def test_auto_split_every_class_reaches_train():
-    labels = stratified_labels([2, 2, 30])
-    splits = auto_split(labels, (0.05, 0.0, 0.95), np.random.default_rng(1))
-    for c in range(3):
-        assert np.sum(labels[splits.train] == c) >= 1
-
-
-def test_auto_split_all_train():
-    labels = stratified_labels([4, 4])
-    splits = auto_split(labels, (1.0, 0.0, 0.0), np.random.default_rng(2))
-    assert len(splits.train) == 8
-    assert len(splits.validation) == 0
-    assert len(splits.test) == 0
-
-
 def test_auto_split_deterministic_per_stream():
     labels = stratified_labels([12, 9])
-    a = auto_split(labels, DEFAULT_FRACTIONS, substream(5, PURPOSE_SPLIT, "t"))
-    b = auto_split(labels, DEFAULT_FRACTIONS, substream(5, PURPOSE_SPLIT, "t"))
+    a = auto_split(labels, substream(5, PURPOSE_SPLIT, "t"))
+    b = auto_split(labels, substream(5, PURPOSE_SPLIT, "t"))
     for name in ("train", "validation", "test"):
         assert np.array_equal(a.get(name), b.get(name))
 
@@ -163,11 +147,7 @@ def test_auto_split_deterministic_per_stream():
 def test_auto_split_errors():
     labels = stratified_labels([2, 10])
     with pytest.raises(DataError):  # class 0 thinner than the 3 splits
-        auto_split(labels, DEFAULT_FRACTIONS, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        auto_split(labels, (0.5, 0.2, 0.2), np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        auto_split(labels, (-0.1, 0.6, 0.5), np.random.default_rng(0))
+        auto_split(labels, np.random.default_rng(0))
 
 
 def test_write_load_roundtrip(tmp_path):
@@ -195,8 +175,8 @@ def test_load_dataset_auto_split_path(tmp_path):
     for entry in manifest["tasks"]:
         del entry["splits"]
     manifest_path.write_text(json.dumps(manifest))
-    first = load_dataset(manifest_path, split_seed=99)
-    second = load_dataset(manifest_path, split_seed=99)
+    first = load_dataset(manifest_path)
+    second = load_dataset(manifest_path)
     for a, b in zip(first.tasks, second.tasks):
         assert np.array_equal(a.splits.train, b.splits.train)
 

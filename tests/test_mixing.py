@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from taskmix import mixing
 from taskmix.data import Batch
 from taskmix.errors import ConfigError, UsageError
 from taskmix.mixing import (
@@ -10,7 +11,6 @@ from taskmix.mixing import (
     metamix_augment,
     mix_arrays,
     mix_batches,
-    mix_coefficient,
     sample_beta,
     sample_gamma,
     taskmix_synthesize,
@@ -126,17 +126,7 @@ def test_mix_config_validation_names_keys():
         MixConfig(eta=0.0).validate()
     with pytest.raises(ConfigError, match="mix.n_synthetic"):
         MixConfig(n_synthetic=-1).validate()
-    with pytest.raises(ConfigError, match="mix.force_lambda"):
-        MixConfig(force_lambda=1.5).validate()
     MixConfig().validate()  # defaults are fine
-
-
-def test_force_lambda_skips_rng():
-    cfg = MixConfig(eta=0.5, force_lambda=0.75)
-    rng = np.random.default_rng(9)
-    before = rng.bit_generator.state
-    assert mix_coefficient(cfg, rng) == 0.75
-    assert rng.bit_generator.state == before
 
 
 def test_metamix_single_row_is_identity():
@@ -146,10 +136,10 @@ def test_metamix_single_row_is_identity():
     assert np.array_equal(out.y, batch.y)
 
 
-def test_metamix_forced_lambda_one_is_identity():
+def test_metamix_forced_lambda_one_is_identity(monkeypatch):
     batch = random_batch(2, b=12, c=4, d=3)
-    cfg = MixConfig(force_lambda=1.0)
-    out = metamix_augment(batch, cfg, np.random.default_rng(4))
+    monkeypatch.setattr(mixing, "sample_beta", lambda eta, rng: 1.0)
+    out = metamix_augment(batch, MixConfig(), np.random.default_rng(4))
     assert np.array_equal(out.x, batch.x)
     assert np.array_equal(out.y, batch.y)
     assert np.array_equal(out.w, batch.w)

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from taskmix.data import Batch, one_hot
-from taskmix.errors import ConfigError, ShapeError, UsageError
+from taskmix.errors import ShapeError, UsageError
 from taskmix.nn import (
     EXACT,
     PRELU_INIT_SLOPE,
     AdaptationTrace,
-    Geometry,
     ModelParams,
     TraceStep,
     backprop_through_trace,
@@ -201,8 +200,7 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
 
 
 def test_init_params_shapes_and_constants():
-    geo = Geometry(5, [4, 3], 2)
-    params = init_params(geo, np.random.default_rng(0))
+    params = init_params((5, 4, 3, 2), np.random.default_rng(0))
     assert [l.weight.shape for l in params.layers] == [(4, 5), (3, 4)]
     assert params.head.weight.shape == (2, 3)
     for layer in params.layers:
@@ -214,19 +212,12 @@ def test_init_params_shapes_and_constants():
 
 
 def test_init_params_deterministic_per_seed():
-    geo = Geometry(4, [3], 2)
-    a = init_params(geo, np.random.default_rng(42))
-    b = init_params(geo, np.random.default_rng(42))
+    dims = (4, 3, 2)
+    a = init_params(dims, np.random.default_rng(42))
+    b = init_params(dims, np.random.default_rng(42))
     assert trees_equal(a, b)
-    c = init_params(geo, np.random.default_rng(43))
+    c = init_params(dims, np.random.default_rng(43))
     assert not trees_equal(a, c)
-
-
-def test_geometry_validation():
-    with pytest.raises(ConfigError):
-        Geometry(0, [3], 2).validate()
-    with pytest.raises(ConfigError):
-        Geometry(4, [0], 2).validate()
 
 
 def test_tree_vector_roundtrip():

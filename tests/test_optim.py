@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from taskmix import optim
 from taskmix.errors import ConfigError
 from taskmix.optim import (
     MAXIMIZE,
@@ -76,12 +77,13 @@ def test_adam_zero_gradient_is_noop():
     assert np.array_equal(out, p)
 
 
-def test_adam_large_eps_behaves_like_scaled_sgd():
+def test_adam_large_eps_behaves_like_scaled_sgd(monkeypatch):
     # eps = 1e6 swamps sqrt(v-hat), so the update collapses to lr/eps * g
+    monkeypatch.setattr(optim, "ADAM_EPS", 1e6)
     rng = np.random.default_rng(7)
     p = rng.standard_normal(5)
     g = rng.standard_normal(5)
-    state = AdamState.init(p, eps=1e6)
+    state = AdamState.init(p)
     _, adam_out = adam_step(state, p, g, lr=0.5)
     sgd_out = sgd_step(p, g, 0.5 * 1e-6)
     assert np.allclose(adam_out, sgd_out, rtol=0, atol=1e-6)

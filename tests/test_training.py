@@ -16,7 +16,6 @@ from taskmix.training import (
     inner_adapt,
     meta_step,
     meta_train,
-    model_geometry,
     mtl_train,
     finetune,
 )
@@ -228,6 +227,20 @@ def test_finetune_divergence():
         finetune(theta, ds.meta_test_tasks[0], cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finetune_never_keeps_non_finite_parameters():
+    # One overflowing update. Argmax of NaN logits is class 0, so the model
+    # would still get a finite validation F1 and could become the snapshot.
+    ds = tiny_dataset(seed=17)
+    cfg = tiny_config(finetune={"lr": 1e200, "max_steps": 1, "eval_every": 1})
+    theta = initial_params(ds, cfg, 0)
+    for task in ds.meta_test_tasks:
+        with pytest.raises(TrainingDivergedError) as err:
+            finetune(theta, task, cfg)
+        assert err.value.step == 0
+        assert "non-finite validation_macro_f1" in str(err.value)
+
+
 def test_mtl_returns_fresh_never_trained_head():
     ds = tiny_dataset(seed=19)
     cfg = tiny_config()
@@ -320,10 +333,10 @@ def test_stage_loop_contract(stage, tmp_path, monkeypatch):
 def test_model_geometry_uses_dataset_shape():
     ds = tiny_dataset(seed=23)
     cfg = tiny_config()
-    geo = model_geometry(ds, cfg)
-    assert geo.input_dim == ds.dim
-    assert geo.n_classes == ds.c_max
-    assert geo.hidden == [8]
+    params = initial_params(ds, cfg, 0)
+    assert params.input_dim == ds.dim
+    assert params.n_classes == ds.c_max
+    assert params.layout.dims[1:-1] == (8,)
 
 
 def test_roles_are_what_training_expects():

@@ -6,7 +6,7 @@ import numpy as np
 
 from taskmix.config import RunConfig, from_dict
 from taskmix.data import Batch, one_hot
-from taskmix.nn import Geometry, init_params
+from taskmix.nn import init_params
 from taskmix.synth import SynthSpec, generate
 
 
@@ -45,8 +45,7 @@ def fd_gradient(fn, vec: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def small_net(seed: int, dims=(4, 3, 2), dtype=np.float64):
     # dims = (input, *hidden, classes)
-    geo = Geometry(dims[0], list(dims[1:-1]), dims[-1])
-    return init_params(geo, np.random.default_rng(seed), dtype=dtype)
+    return init_params(dims, np.random.default_rng(seed), dtype=dtype)
 
 
 def random_batch(seed: int, b: int, d: int, c: int, dtype=np.float64) -> Batch:
