@@ -52,7 +52,6 @@ from .mixing import (
     taskmix_synthesize,
 )
 from .nn import (
-    AdaptationTrace,
     ModelParams,
     backward,
     forward,

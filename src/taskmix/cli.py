@@ -223,6 +223,8 @@ def _read_cell(path: Path) -> tuple[str, MetricsReport]:
 def cmd_experiment(args) -> int:
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        if not methods:
+            raise ConfigError(f"--methods {args.methods!r} names no method")
     else:
         methods = list(METHODS)
     for m in methods:

@@ -22,7 +22,7 @@ class ShapeError(TaskMixError):
 
 
 class UsageError(TaskMixError):
-    """API called outside its contract (empty split, missing trace, ...)."""
+    """API called outside its contract (empty split, wrong task role, ...)."""
 
 
 class TrainingDivergedError(TaskMixError):

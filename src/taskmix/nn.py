@@ -8,6 +8,11 @@ exact reverse-mode gradients, exact Hessian-vector products, and
 meta-gradients obtained by backpropagating through an unrolled inner-loop SGD
 trajectory.
 
+Gradients (`backward`) and Hessian-vector products (`loss_hvp`) come from one
+reverse pass (`_backprop`); the HVP adds Pearlmutter's R-operator tangent
+terms to it. PReLU is h = max(z, 0) + slope * min(z, 0), and its derivative
+dh/dz is 1 where z > 0 and the slope elsewhere, z == 0 included.
+
 Input values are trusted: data is checked when it is read (`data.load_dataset`),
 and mixing only forms convex combinations of checked batches, so labels
 stay row-normalized and weights non-negative and finite.
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError
 
 FIRST_ORDER = "first_order"
 EXACT = "exact"
@@ -154,23 +159,27 @@ def _check_input(params: ModelParams, x: np.ndarray) -> None:
 
 
 def _forward_cache(params: ModelParams, x: np.ndarray):
-    """Returns (logits, hs, zs): hs[k] is the input to layer k, zs[k] its preactivation."""
+    """Returns (logits, hs, poss, negs): hs[k] is the input to layer k; for its
+    preactivation z, poss[k] = z > 0 and negs[k] = minimum(z, 0)."""
     _check_input(params, x)
-    hs, zs = [x], []
+    hs, poss, negs = [x], [], []
     h = x
     for layer in params.layers:
-        z = h @ layer.weight.T + layer.bias
-        h = np.where(z > 0, z, layer.slope * z)
-        zs.append(z)
+        z = h @ layer.weight.T
+        z += layer.bias
+        poss.append(z > 0)
+        negs.append(np.minimum(z, 0))
+        h = np.maximum(z, 0, out=z)
+        h += layer.slope * negs[-1]
         hs.append(h)
-    logits = h @ params.head.weight.T + params.head.bias
-    return logits, hs, zs
+    logits = h @ params.head.weight.T
+    logits += params.head.bias
+    return logits, hs, poss, negs
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Logits [B, n_classes] for features [B, D]."""
-    logits, _, _ = _forward_cache(params, x)
-    return logits
+    return _forward_cache(params, x)[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -196,6 +205,74 @@ def weighted_ce(
 # ---------------------------------------------------------------------------
 
 
+def _prelu_derivative(layer: LayerParams, pos: np.ndarray):
+    """dh/dz from pos = z > 0. At z == 0 the slope applies, as it does below zero."""
+    return pos + layer.slope * ~pos
+
+
+def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
+    """One forward and one reverse pass of the batch loss at params.
+
+    Returns (loss, out): out is the gradient or, given a direction, the
+    Hessian-vector product by Pearlmutter's R-operator (forward-over-reverse):
+    the direction's tangent is pushed through the forward pass and its terms
+    run beside the reverse pass, which then skips the gradient itself. PReLU
+    is piecewise linear, so the tangent of its derivative vanishes almost
+    everywhere; the slope parameter's own tangent still flows.
+    """
+    x, y, w = batch.x, batch.y, batch.w
+    logits, hs, poss, negs = _forward_cache(params, x)
+    loss, ls = _loss_and_log_probs(logits, y, w)
+    p = np.exp(ls)
+    weight_mass = y @ w  # [B]; total class weight carried by each row's labels
+    delta = (weight_mass[:, None] * p - y * w[None, :]) / x.shape[0]  # dLoss/dlogits
+    out = params.like(np.empty_like(params.flat))
+    head = params.head
+
+    if direction is None:
+        np.matmul(delta.T, hs[-1], out=out.head.weight)
+        delta.sum(axis=0, out=out.head.bias)
+    else:
+        # Tangent forward pass.
+        acts = [_prelu_derivative(layer, pos) for layer, pos in zip(params.layers, poss)]
+        r_hs, r_zs = [np.zeros_like(x)], []
+        for layer, v, act, neg, h_in in zip(params.layers, direction.layers, acts, negs, hs):
+            rz = r_hs[-1] @ layer.weight.T + h_in @ v.weight.T + v.bias
+            r_zs.append(rz)
+            r_hs.append(act * rz + neg * v.slope)
+        r_logits = r_hs[-1] @ head.weight.T + hs[-1] @ direction.head.weight.T
+        r_logits += direction.head.bias
+        # Tangent of dLoss/dlogits. With labels and weights fixed, only the
+        # softmax output moves: Rp = p * (Ru - <p, Ru>).
+        rp = p * (r_logits - (p * r_logits).sum(axis=1, keepdims=True))
+        r_delta = (weight_mass[:, None] * rp) / x.shape[0]
+        np.add(r_delta.T @ hs[-1], delta.T @ r_hs[-1], out=out.head.weight)
+        r_delta.sum(axis=0, out=out.head.bias)
+        rd = r_delta @ head.weight + delta @ direction.head.weight
+    d = delta @ head.weight
+
+    for k in range(len(params.layers) - 1, -1, -1):
+        layer, o = params.layers[k], out.layers[k]
+        pos = poss[k]
+        act = _prelu_derivative(layer, pos) if direction is None else acts[k]
+        dz = d * act
+        if direction is None:
+            (d * negs[k]).sum(axis=0, out=o.slope)
+            np.matmul(dz.T, hs[k], out=o.weight)
+            dz.sum(axis=0, out=o.bias)
+        else:
+            v = direction.layers[k]
+            r_dz = rd * act + d * (v.slope * ~pos)
+            (rd * negs[k] + d * (r_zs[k] * ~pos)).sum(axis=0, out=o.slope)
+            np.add(r_dz.T @ hs[k], dz.T @ r_hs[k], out=o.weight)
+            r_dz.sum(axis=0, out=o.bias)
+            if k:
+                rd = r_dz @ layer.weight + dz @ v.weight
+        if k:  # the adjoint of the input itself is never needed
+            d = dz @ layer.weight
+    return loss, out
+
+
 def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
     """Loss and exact gradients of weighted_ce(forward(x)) for every parameter.
 
@@ -203,87 +280,12 @@ def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
     including per-unit PReLU slope gradients. Reduction is the mean over the
     batch, so duplicating rows leaves gradients unchanged.
     """
-    x, y, w = batch.x, batch.y, batch.w
-    logits, hs, zs = _forward_cache(params, x)
-    loss, ls = _loss_and_log_probs(logits, y, w)
-
-    b = x.shape[0]
-    p = np.exp(ls)
-    weight_mass = y @ w  # [B]; total class weight carried by each row's labels
-    delta = (weight_mass[:, None] * p - y * w[None, :]) / b  # dLoss/dlogits
-
-    grads = params.like(np.empty_like(params.flat))
-    np.matmul(delta.T, hs[-1], out=grads.head.weight)
-    delta.sum(axis=0, out=grads.head.bias)
-    d = delta @ params.head.weight
-
-    for k in range(len(params.layers) - 1, -1, -1):
-        layer, z, g = params.layers[k], zs[k], grads.layers[k]
-        act_slope = np.where(z > 0, 1.0, layer.slope)
-        dz = d * act_slope
-        np.where(z > 0, 0.0, d * z).sum(axis=0, out=g.slope)
-        np.matmul(dz.T, hs[k], out=g.weight)
-        dz.sum(axis=0, out=g.bias)
-        if k:  # the gradient w.r.t. the input itself is never needed
-            d = dz @ layer.weight
-    return loss, grads
+    return _backprop(params, batch)
 
 
 def loss_hvp(params: ModelParams, batch, direction: ModelParams) -> ModelParams:
-    """Exact Hessian-vector product of the batch loss at params.
-
-    Forward-over-reverse: propagate the directional tangent through the
-    forward pass, then through the exact backward pass. PReLU is piecewise
-    linear, so the tangent of its local slope w.r.t. z vanishes almost
-    everywhere; the slope parameter's own tangent still flows.
-    """
-    x, y, w = batch.x, batch.y, batch.w
-    logits, hs, zs = _forward_cache(params, x)
-    b = x.shape[0]
-
-    # Tangent forward pass.
-    r_hs = [np.zeros_like(x)]
-    r_zs = []
-    rh = r_hs[0]
-    for layer, v_layer, z, h_in in zip(params.layers, direction.layers, zs, hs):
-        rz = rh @ layer.weight.T + h_in @ v_layer.weight.T + v_layer.bias
-        rh = np.where(z > 0, rz, layer.slope * rz + z * v_layer.slope)
-        r_zs.append(rz)
-        r_hs.append(rh)
-    r_logits = (
-        rh @ params.head.weight.T + hs[-1] @ direction.head.weight.T + direction.head.bias
-    )
-
-    # Tangent of dLoss/dlogits. With labels and weights fixed, only the
-    # softmax output moves: Rp = p * (Ru - <p, Ru>).
-    ls = _log_softmax(logits)
-    p = np.exp(ls)
-    rp = p * (r_logits - (p * r_logits).sum(axis=1, keepdims=True))
-    weight_mass = y @ w
-    delta = (weight_mass[:, None] * p - y * w[None, :]) / b
-    r_delta = (weight_mass[:, None] * rp) / b
-
-    # Tangent backward pass, written straight into one output vector.
-    hv = params.like(np.empty_like(params.flat))
-    np.add(r_delta.T @ hs[-1], delta.T @ r_hs[-1], out=hv.head.weight)
-    r_delta.sum(axis=0, out=hv.head.bias)
-    d = delta @ params.head.weight
-    rd = r_delta @ params.head.weight + delta @ direction.head.weight
-
-    for k in range(len(params.layers) - 1, -1, -1):
-        layer, v_layer, out = params.layers[k], direction.layers[k], hv.layers[k]
-        z, rz = zs[k], r_zs[k]
-        neg = z <= 0
-        act_slope = np.where(neg, layer.slope, 1.0)
-        dz = d * act_slope
-        r_dz = rd * act_slope + np.where(neg, d * v_layer.slope, 0.0)
-        np.where(neg, rd * z + d * rz, 0.0).sum(axis=0, out=out.slope)
-        np.add(r_dz.T @ hs[k], dz.T @ r_hs[k], out=out.weight)
-        r_dz.sum(axis=0, out=out.bias)
-        if k:  # input tangents are never needed
-            rd = r_dz @ layer.weight + dz @ v_layer.weight
-            d = dz @ layer.weight
-    return hv
+    """Exact Hessian-vector product of the batch loss at params."""
+    return _backprop(params, batch, direction)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +293,18 @@ def loss_hvp(params: ModelParams, batch, direction: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TraceStep:
-    params: ModelParams  # parameters the inner gradient was evaluated at
-    batch: object
-    lr: float
-
-
-@dataclass
-class AdaptationTrace:
-    """Record of one inner-loop run from theta to `adapted`.
-
-    `steps` holds one entry per inner step, or is None when the trace was
-    not recorded (first-order training), which is an error to unroll through.
-    """
-
-    adapted: ModelParams
-    steps: list[TraceStep] | None
-
-
-def backprop_through_trace(grads: ModelParams, trace: AdaptationTrace) -> ModelParams:
+def backprop_through_trace(grads: ModelParams, visited: list[ModelParams], support_batches,
+                           lr: float) -> ModelParams:
     """Pull query-loss gradients at the adapted parameters back to theta.
 
-    Each inner SGD step theta_j = theta_{j-1} - lr * g(theta_{j-1}) contributes
-    a Jacobian factor (I - lr * H_j); applying the factors in reverse order
-    turns the gradient at theta_n into the exact meta-gradient at theta.
+    visited is what inner_adapt returns: theta, then the parameters after
+    each SGD step on support_batches at lr, the adapted ones last. Each step
+    theta_j = theta_{j-1} - lr * g(theta_{j-1}) contributes a Jacobian factor
+    (I - lr * H_j); applying the factors in reverse order turns the gradient
+    at the adapted parameters into the exact meta-gradient at theta.
     """
-    if trace.steps is None:
-        raise UsageError("exact meta-gradient requires a recorded adaptation trace")
     g = grads
-    for step in reversed(trace.steps):
-        hv = loss_hvp(step.params, step.batch, g)
-        g = g.like(g.flat - step.lr * hv.flat)
+    for params, batch in zip(reversed(visited[:-1]), reversed(support_batches)):
+        hv = loss_hvp(params, batch, g)
+        g = g.like(g.flat - lr * hv.flat)
     return g

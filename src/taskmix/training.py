@@ -3,7 +3,10 @@ meta-test fine-tuning, and the joint multi-task baseline.
 
 One outer step of meta-training draws, per training task, a fresh support
 batch for every inner SGD step plus one query batch (all from the task's
-train split). Augmentation hooks plug in here:
+train split). Each task unit is adapted by `inner_adapt`, which returns the
+parameters it visited; under grad_mode exact the query gradient is pulled
+back through that list (`nn.backprop_through_trace`). Augmentation hooks
+plug in here:
 
   * metamix: each task also contributes the gradient of a mixed query
     batch; the task's meta-loss is the mean of the plain and mixed query
@@ -39,9 +42,7 @@ from .metrics import split_loss, split_macro_f1
 from .mixing import metamix_augment, taskmix_synthesize
 from .nn import (
     EXACT,
-    AdaptationTrace,
     ModelParams,
-    TraceStep,
     backprop_through_trace,
     backward,
     forward,
@@ -120,22 +121,18 @@ def initial_params(dataset: Dataset, cfg: RunConfig, seed: int) -> ModelParams:
     return init_params(dims, StreamBundle(seed).init())
 
 
-def inner_adapt(
-    params: ModelParams, support_batches, lr: float, record: bool
-) -> AdaptationTrace:
+def inner_adapt(params: ModelParams, support_batches, lr: float) -> list[ModelParams]:
     """n SGD steps from params, one support batch per step.
 
-    The visited parameters and batches are recorded when `record` is set,
-    which is what exact meta-gradients unroll through.
+    Returns the visited parameters: params first, then the result of each
+    step, so the adapted parameters are last. Exact meta-gradients unroll
+    through this list (nn.backprop_through_trace).
     """
-    steps = [] if record else None
-    cur = params
+    visited = [params]
     for batch in support_batches:
-        _, grads = backward(cur, batch)
-        if record:
-            steps.append(TraceStep(params=cur, batch=batch, lr=lr))
-        cur = cur.like(sgd_step(cur.flat, grads.flat, lr))
-    return AdaptationTrace(adapted=cur, steps=steps)
+        _, grads = backward(visited[-1], batch)
+        visited.append(params.like(sgd_step(visited[-1].flat, grads.flat, lr)))
+    return visited
 
 
 def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
@@ -143,19 +140,22 @@ def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
 
     Adapts theta on the support batches at cfg.meta.inner_lr, then takes the
     query-loss gradient at the adapted parameters: as is under first_order,
-    pulled back through the inner loop under exact. With a metamix_rng, the
-    loss and gradient are the mean of the plain and a mixed query's.
+    pulled back through the visited parameters under exact. With a
+    metamix_rng, the loss and gradient are the mean of the plain and a
+    mixed query's.
     """
-    mode = cfg.meta.grad_mode
-    trace = inner_adapt(theta, support, cfg.meta.inner_lr, record=(mode == EXACT))
-    loss, grads = backward(trace.adapted, query)
-    if mode == EXACT:
-        grads = backprop_through_trace(grads, trace)
+    lr = cfg.meta.inner_lr
+    visited = inner_adapt(theta, support, lr)
+    adapted = visited[-1]
+    exact = cfg.meta.grad_mode == EXACT
+    loss, grads = backward(adapted, query)
+    if exact:
+        grads = backprop_through_trace(grads, visited, support, lr)
     if metamix_rng is not None:
         mixed = metamix_augment(query, cfg.mix, metamix_rng)
-        mixed_loss, mixed_grads = backward(trace.adapted, mixed)
-        if mode == EXACT:
-            mixed_grads = backprop_through_trace(mixed_grads, trace)
+        mixed_loss, mixed_grads = backward(adapted, mixed)
+        if exact:
+            mixed_grads = backprop_through_trace(mixed_grads, visited, support, lr)
         grads = grads.like(0.5 * (grads.flat + mixed_grads.flat))
         loss = 0.5 * (loss + mixed_loss)
     return loss, grads

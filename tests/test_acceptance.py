@@ -134,7 +134,7 @@ def test_c1_gradients_match_finite_differences():
 
             def objective(vec):
                 p = theta.like(vec)
-                adapted = inner_adapt(p, support, 0.05, record=False).adapted
+                adapted = inner_adapt(p, support, 0.05)[-1]
                 return weighted_ce(forward(adapted, query.x), query.y, query.w)
 
             fd = fd_gradient(objective, theta.flat.copy(), h=1e-6)

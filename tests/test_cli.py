@@ -285,6 +285,15 @@ def test_experiment_rejects_unknown_method(tmp_path, capsys):
     assert "protonet" in capsys.readouterr().err
 
 
+def test_experiment_with_separator_only_methods_is_a_config_error(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=38)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "e"
+    assert main(experiment_argv(manifest, cfg, out, ",,")) == 2
+    assert "--methods" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_cells_are_byte_identical_across_runs(tmp_path):
     manifest = write_tiny_dataset(tmp_path, seed=39)
     cfg = write_config(tmp_path)

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from taskmix.data import Batch, one_hot
-from taskmix.errors import ShapeError, UsageError
+from taskmix.errors import ShapeError
 from taskmix.nn import (
     EXACT,
     PRELU_INIT_SLOPE,
-    AdaptationTrace,
     ModelParams,
-    TraceStep,
     backprop_through_trace,
     backward,
     forward,
@@ -29,10 +27,19 @@ from taskmix.training import inner_adapt, unit_gradient
 from util import fd_gradient, random_batch, rel_err, small_net, tiny_config, trees_equal
 
 
-def hand_model(head_w=2.0, head_b=1.0):
-    # one 1->1 PReLU layer (weight 1, bias 0, slope 0.25), then a 1->1 head
-    flat = np.array([1.0, 0.0, 0.25, head_w, head_b])
-    return ModelParams(flat, layout_for((1, 1, 1)))
+# (input, *hidden, classes) of the finite-difference checks: no hidden layer
+# up to three, so the reverse pass's recursion across layers is checked too
+DEPTHS = [(4, 2), (4, 3, 2), (4, 3, 3, 2), (4, 5, 3, 4, 3)]
+
+
+def dims_id(dims):
+    return "-".join(map(str, dims))
+
+
+def hand_model(head_w=(2.0,), head_b=(1.0,), bias=0.0):
+    # one 1->1 PReLU layer (weight 1, slope 0.25), then a 1->len(head_w) head
+    flat = np.array([1.0, bias, 0.25, *head_w, *head_b])
+    return ModelParams(flat, layout_for((1, 1, len(head_w))))
 
 
 def test_forward_hand_case():
@@ -41,6 +48,24 @@ def test_forward_hand_case():
     assert forward(model, np.array([[3.0]]))[0, 0] == pytest.approx(7.0)
     # negative branch: prelu(-3) = -0.75, head 2*(-0.75) + 1 = -0.5
     assert forward(model, np.array([[-3.0]]))[0, 0] == pytest.approx(-0.5)
+
+
+def test_prelu_slope_applies_at_zero_preactivation():
+    # bias = -w*x puts the preactivation at exactly 0. There the PReLU output
+    # is 0, its derivative is the slope (as below zero, not 1 as above), and
+    # the slope's own gradient, d * min(z, 0), is 0.
+    x = 3.0
+    model = hand_model(head_w=(2.0, -1.0), head_b=(0.0, 0.0), bias=-x)
+    batch = Batch(x=np.array([[x]]), y=np.array([[1.0, 0.0]]), w=np.array([1.0, 1.0]))
+    logits = forward(model, batch.x)
+    assert np.array_equal(logits, [[0.0, 0.0]])  # head of a zero PReLU output
+
+    _, grads = backward(model, batch)
+    dlogits = np.exp(logits[0]) / np.exp(logits[0]).sum() - batch.y[0]  # [-0.5, 0.5]
+    d_out = model.head.weight[:, 0] @ dlogits  # dL/d(PReLU output) = -1.5
+    assert grads.layers[0].bias[0] == pytest.approx(0.25 * d_out, rel=1e-12)
+    assert grads.layers[0].weight[0, 0] == pytest.approx(0.25 * d_out * x, rel=1e-12)
+    assert grads.layers[0].slope[0] == 0.0
 
 
 def test_forward_permutation_equivariant():
@@ -77,11 +102,12 @@ def test_weighted_ce_nonnegative():
         assert weighted_ce(logits, y, w) >= 0.0
 
 
-def test_backward_matches_finite_differences():
-    # [4 -> 3 -> 2] net, 64-bit, 10 seeds, rel err < 1e-5
+@pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
+def test_backward_matches_finite_differences(dims):
+    # 64-bit, 10 seeds, rel err < 1e-5
     for seed in range(10):
-        params = small_net(seed, dims=(4, 3, 2))
-        batch = random_batch(1000 + seed, b=8, d=4, c=2)
+        params = small_net(seed, dims=dims)
+        batch = random_batch(1000 + seed, b=8, d=4, c=dims[-1])
         _, grads = backward(params, batch)
 
         def loss_at(vec):
@@ -120,10 +146,11 @@ def test_backward_zero_weights_zero_gradients():
     assert np.all(grads.flat == 0.0)
 
 
-def test_hvp_matches_fd_of_gradients():
+@pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
+def test_hvp_matches_fd_of_gradients(dims):
     for seed in range(5):
-        params = small_net(seed, dims=(4, 3, 2))
-        batch = random_batch(400 + seed, b=8, d=4, c=2)
+        params = small_net(seed, dims=dims)
+        batch = random_batch(400 + seed, b=8, d=4, c=dims[-1])
         rng = np.random.default_rng(seed)
         vec = params.flat.copy()
         direction = rng.standard_normal(vec.size)
@@ -138,20 +165,22 @@ def test_hvp_matches_fd_of_gradients():
         assert rel_err(hv.flat, fd) < 1e-5
 
 
+@pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
 @pytest.mark.parametrize("n_steps", [1, 2, 3])
-def test_meta_gradient_matches_fd_of_meta_objective(n_steps):
+def test_meta_gradient_matches_fd_of_meta_objective(n_steps, dims):
     inner_lr = 0.05
     cfg = tiny_config(meta={"inner_lr": inner_lr, "grad_mode": EXACT})
+    c = dims[-1]
     for seed in (0, 1, 2):
-        theta = small_net(seed, dims=(4, 3, 2))
-        support = [random_batch(700 + 10 * seed + k, 8, 4, 2) for k in range(n_steps)]
-        query = random_batch(900 + seed, 8, 4, 2)
+        theta = small_net(seed, dims=dims)
+        support = [random_batch(700 + 10 * seed + k, 8, 4, c) for k in range(n_steps)]
+        query = random_batch(900 + seed, 8, 4, c)
 
         _, exact = unit_gradient(theta, support, query, cfg, None)
 
         def meta_objective(vec):
             p = theta.like(vec)
-            adapted = inner_adapt(p, support, inner_lr, record=False).adapted
+            adapted = inner_adapt(p, support, inner_lr)[-1]
             return weighted_ce(forward(adapted, query.x), query.y, query.w)
 
         fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
@@ -170,14 +199,6 @@ def test_meta_gradient_modes_coincide_without_inner_steps():
     assert trees_equal(g_first, backward(theta, query)[1])
 
 
-def test_trace_unroll_requires_recording():
-    theta = small_net(seed=0)
-    grads = theta.like(np.zeros_like(theta.flat))
-    trace = AdaptationTrace(adapted=theta, steps=None)
-    with pytest.raises(UsageError):
-        backprop_through_trace(grads, trace)
-
-
 def test_trace_unroll_quadratic_closed_form(monkeypatch):
     # For L(t) = t^2 the Hessian is the constant 2, so each inner step at
     # lr=0.1 multiplies the meta-gradient by (1 - 0.1*2) = 0.8. Starting
@@ -190,12 +211,10 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
     # head-only models: weight [[w]], bias [0]
     theta = ModelParams(np.array([1.0, 0.0]), layout_for((1, 1)))
     grads = ModelParams(np.array([1.6, 0.0]), layout_for((1, 1)))
-    one = AdaptationTrace(adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)])
-    out1 = backprop_through_trace(grads, one)
+    out1 = backprop_through_trace(grads, [theta] * 2, [None], 0.1)
     assert out1.head.weight[0, 0] == pytest.approx(1.28, rel=1e-12)
 
-    two = AdaptationTrace(adapted=theta, steps=[TraceStep(params=theta, batch=None, lr=0.1)] * 2)
-    out2 = backprop_through_trace(grads, two)
+    out2 = backprop_through_trace(grads, [theta] * 3, [None] * 2, 0.1)
     assert out2.head.weight[0, 0] == pytest.approx(1.024, rel=1e-12)
 
 

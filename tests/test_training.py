@@ -25,48 +25,48 @@ from util import random_batch, small_net, tiny_config, tiny_dataset, trees_equal
 
 def test_inner_adapt_zero_steps_is_identity():
     params = small_net(seed=0)
-    trace = inner_adapt(params, [], 0.1, record=True)
-    assert trace.adapted is params
-    assert trace.steps == []
+    visited = inner_adapt(params, [], 0.1)
+    assert len(visited) == 1
+    assert visited[0] is params
 
 
 def test_inner_adapt_matches_manual_sgd():
     params = small_net(seed=1)
     batches = [random_batch(50 + k, b=6, d=4, c=2) for k in range(3)]
-    trace = inner_adapt(params, batches, 0.05, record=False)
+    visited = inner_adapt(params, batches, 0.05)
 
     cur = params
     for batch in batches:
         _, grads = backward(cur, batch)
         cur = cur.like(sgd_step(cur.flat, grads.flat, 0.05))
-    assert trees_equal(trace.adapted, cur)
-    assert trace.steps is None
+    assert len(visited) == 4
+    assert trees_equal(visited[-1], cur)
 
 
 def test_inner_adapt_records_visited_parameters():
     params = small_net(seed=2)
     batches = [random_batch(70 + k, b=6, d=4, c=2) for k in range(2)]
-    trace = inner_adapt(params, batches, 0.05, record=True)
-    assert len(trace.steps) == 2
-    assert trace.steps[0].params is params
+    visited = inner_adapt(params, batches, 0.05)
+    assert len(visited) == 3
+    assert visited[0] is params
     _, g0 = backward(params, batches[0])
-    assert trees_equal(trace.steps[1].params, params.like(sgd_step(params.flat, g0.flat, 0.05)))
-    assert trace.steps[0].lr == 0.05
+    assert trees_equal(visited[1], params.like(sgd_step(params.flat, g0.flat, 0.05)))
 
 
 def test_inner_adapt_trace_survives_writes_into_the_live_vector():
-    # each recorded step keeps the parameters its gradient was taken at,
+    # every visited step keeps the parameters its gradient was taken at,
     # even when the adapted (live) vector is later written in place
     params = small_net(seed=3)
     batches = [random_batch(90 + k, b=6, d=4, c=2) for k in range(3)]
-    trace = inner_adapt(params, batches, 0.05, record=True)
-    recorded = [s.params.flat.copy() for s in trace.steps]
-    trace.adapted.flat[:] = np.nan
-    trace.adapted.layers[0].weight[...] = 5.0
-    assert all(np.array_equal(s.params.flat, r) for s, r in zip(trace.steps, recorded))
-    assert not any(np.shares_memory(s.params.flat, trace.adapted.flat) for s in trace.steps)
+    visited = inner_adapt(params, batches, 0.05)
+    steps, adapted = visited[:-1], visited[-1]
+    recorded = [p.flat.copy() for p in steps]
+    adapted.flat[:] = np.nan
+    adapted.layers[0].weight[...] = 5.0
+    assert all(np.array_equal(p.flat, r) for p, r in zip(steps, recorded))
+    assert not any(np.shares_memory(p.flat, adapted.flat) for p in steps)
     # the steps' vectors are distinct from one another too
-    flats = [s.params.flat for s in trace.steps]
+    flats = [p.flat for p in steps]
     assert not any(np.shares_memory(x, y) for i, x in enumerate(flats) for y in flats[i + 1:])
 
 
