@@ -27,14 +27,7 @@ from .data import (
     sample_batch,
     write_dataset,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    ShapeError,
-    TaskMixError,
-    TrainingDivergedError,
-    UsageError,
-)
+from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
 from .evaluation import (
     MetricsReport,
     TrialSummary,

@@ -7,7 +7,8 @@ seeds matrix with resumable cells), report (re-render a results directory).
 Every configuration key is overridable by a flag of the same dotted name
 (for example --meta.inner_lr 0.02); `--config` accepts a JSON file path or
 a preset name (long, wide). Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 training divergence.
+error (ConfigError), 3 data error (DataError), 4 training divergence
+(TrainingDivergedError).
 """
 
 from __future__ import annotations
@@ -31,15 +32,9 @@ from .config import (
     to_dict,
 )
 from .data import ROLES, load_dataset, read_csv_features, write_dataset, write_task_file
-from .errors import (
-    ConfigError,
-    DataError,
-    ShapeError,
-    TaskMixError,
-    TrainingDivergedError,
-    UsageError,
-)
-from .evaluation import MetricsReport, render_report, run_method, summarize, train_phase
+from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
+from .evaluation import (MetricsReport, read_cell, render_report, run_method, seed_record,
+                         summarize, train_phase)
 from .nn import ModelParams
 from .synth import generate, preset
 
@@ -196,28 +191,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cell_payload(report: MetricsReport, method: str) -> dict:
-    return {
-        "method": method,
-        "seed": report.seed,
-        "average_macro_f1": report.average_macro_f1,
-        "per_task": dict(sorted(report.per_task.items())),
-    }
-
-
-_CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "per_task": dict}
-
-
-def _read_cell(path: Path) -> tuple[str, MetricsReport]:
-    """(method, report) of one result cell; DataError naming the file if malformed."""
-    cell = _read_json(path)
-    cell = cell if isinstance(cell, dict) else {}
-    bad = [k for k, tp in _CELL_FIELDS.items()
-           if not isinstance(cell.get(k), tp) or isinstance(cell.get(k), bool)]
-    if bad or not all(isinstance(v, (int, float)) for v in cell["per_task"].values()):
-        raise DataError(f"{path}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
-    report = MetricsReport(cell["seed"], cell["per_task"], cell["average_macro_f1"])
-    return cell["method"], report
+def _publish_report(out: Path, summaries) -> None:
+    """Render the report, write report.txt and report.json, print the table."""
+    text, doc = render_report(summaries)
+    _write_text(out / "report.txt", text)
+    _write_text(out / "report.json", doc)
+    print(text, end="")
 
 
 def cmd_experiment(args) -> int:
@@ -242,21 +221,18 @@ def cmd_experiment(args) -> int:
             cell_dir.mkdir(parents=True, exist_ok=True)
             cell = cell_dir / f"seed_{seed}.json"
             if cell.exists():
-                report = _read_cell(cell)[1]
+                report = read_cell(_read_json(cell), cell)[1]
             else:
                 try:
                     report = run_method(dataset, method, cfg, seed)
                 except TaskMixError as exc:
                     exc.args = (f"method {method!r}, seed {seed}: {exc}",)
                     raise
-                _write_json(cell, _cell_payload(report, method))
+                _write_json(cell, {"method": method, **seed_record(report)})
             reports.append(report)
         summaries.append(summarize(method, reports))
-    text, doc = render_report(summaries)
-    _write_text(out / "report.txt", text)
-    _write_text(out / "report.json", doc)
     _write_json(out / "config.json", to_dict(cfg))
-    print(text, end="")
+    _publish_report(out, summaries)
     return 0
 
 
@@ -267,16 +243,12 @@ def cmd_report(args) -> int:
         raise DataError(f"no result cells found under {base / 'results'}")
     by_method: dict[str, list[MetricsReport]] = {}
     for cell in cells:
-        method, report = _read_cell(cell)
+        method, report = read_cell(_read_json(cell), cell)
         by_method.setdefault(method, []).append(report)
-    summaries = [
+    _publish_report(base, [
         summarize(method, sorted(reports, key=lambda r: r.seed))
         for method, reports in sorted(by_method.items())
-    ]
-    text, doc = render_report(summaries)
-    _write_text(base / "report.txt", text)
-    _write_text(base / "report.json", doc)
-    print(text, end="")
+    ])
     return 0
 
 
@@ -325,13 +297,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingDivergedError, ShapeError) as exc:
+    except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

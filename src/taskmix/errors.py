@@ -1,7 +1,13 @@
 """Exception taxonomy shared across the engine.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingDivergedError -> 4.
+Every engine error is a TaskMixError, and each is one the user can cause:
+the CLI maps ConfigError to exit code 2, DataError to 3 and
+TrainingDivergedError to 4. Input is checked once, where it enters (config
+validation and `data.load_dataset`). Below that boundary the code raises
+only for what valid input can still bring about (divergence, a dataset
+without meta_test tasks to score, a method without a training phase); it
+checks no contract of its own, so an internal bug surfaces as a Python
+traceback, not as a user-facing exit code.
 """
 
 
@@ -15,14 +21,6 @@ class ConfigError(TaskMixError):
 
 class DataError(TaskMixError):
     """Malformed dataset file, manifest, or inconsistent task data."""
-
-
-class ShapeError(TaskMixError):
-    """Array dimensions do not chain or do not match."""
-
-
-class UsageError(TaskMixError):
-    """API called outside its contract (empty split, wrong task role, ...)."""
 
 
 class TrainingDivergedError(TaskMixError):

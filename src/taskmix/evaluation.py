@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .config import METHOD_AUGMENTATION, METHODS, RunConfig
+from .config import METHOD_AUGMENTATION, RunConfig
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .metrics import evaluate_model
@@ -52,8 +52,6 @@ def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int,
 def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> MetricsReport:
     """One experiment cell: train (when the method has a training phase),
     fine-tune each held-out task, score its test split."""
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if not dataset.meta_test_tasks:
         raise DataError("evaluation requires at least one meta_test task")
 
@@ -81,19 +79,36 @@ def summarize(method: str, reports: list[MetricsReport]) -> TrialSummary:
     return TrialSummary(method=method, mean=mean, std=std, reports=reports)
 
 
+def seed_record(report: MetricsReport) -> dict:
+    """One seed's record, as report.json lists it and a result cell stores it
+    (beside the cell's "method")."""
+    return {
+        "seed": report.seed,
+        "average_macro_f1": report.average_macro_f1,
+        "per_task": dict(sorted(report.per_task.items())),
+    }
+
+
+_CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "per_task": dict}
+
+
+def read_cell(cell, where) -> tuple[str, MetricsReport]:
+    """(method, report) of a result cell's parsed JSON; DataError naming
+    `where` if a field is missing or mistyped."""
+    cell = cell if isinstance(cell, dict) else {}
+    bad = [k for k, tp in _CELL_FIELDS.items()
+           if not isinstance(cell.get(k), tp) or isinstance(cell.get(k), bool)]
+    if bad or not all(isinstance(v, (int, float)) for v in cell["per_task"].values()):
+        raise DataError(f"{where}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
+    return cell["method"], MetricsReport(cell["seed"], cell["per_task"], cell["average_macro_f1"])
+
+
 def summary_to_dict(summary: TrialSummary) -> dict:
     return {
         "method": summary.method,
         "mean": summary.mean,
         "std": summary.std,
-        "seeds": [
-            {
-                "seed": r.seed,
-                "average_macro_f1": r.average_macro_f1,
-                "per_task": dict(sorted(r.per_task.items())),
-            }
-            for r in summary.reports
-        ],
+        "seeds": [seed_record(r) for r in summary.reports],
     }
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Task, full_split_batch
-from .errors import UsageError
 from .nn import ModelParams, forward, weighted_ce
 
 
@@ -15,10 +14,7 @@ def predict_labels(params: ModelParams, x: np.ndarray, n_classes: int) -> np.nda
     The head is padded to the dataset-wide class count; columns past a
     task's own class count are never valid predictions for it.
     """
-    logits = forward(params, x)
-    if n_classes < 1 or n_classes > logits.shape[1]:
-        raise UsageError(f"n_classes {n_classes} outside head width {logits.shape[1]}")
-    return np.argmax(logits[:, :n_classes], axis=1)
+    return np.argmax(forward(params, x)[:, :n_classes], axis=1)
 
 
 def macro_f1(true_labels: np.ndarray, predicted: np.ndarray, n_classes: int) -> float:
@@ -30,10 +26,6 @@ def macro_f1(true_labels: np.ndarray, predicted: np.ndarray, n_classes: int) -> 
     """
     true_labels = np.asarray(true_labels)
     predicted = np.asarray(predicted)
-    if true_labels.shape != predicted.shape:
-        raise UsageError(
-            f"label arrays must match, got {true_labels.shape} and {predicted.shape}"
-        )
     total = 0.0
     for c in range(n_classes):
         tp = float(np.sum((predicted == c) & (true_labels == c)))

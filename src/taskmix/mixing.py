@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Batch
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 
 @dataclass
@@ -63,8 +63,6 @@ def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, f
     log(U)/a, stays finite.
     """
     a = float(shape_param)
-    if a <= 0:
-        raise UsageError(f"gamma shape must be positive, got {a}")
     if a < 1.0:
         u = rng.random()
         g, log_g = sample_gamma(a + 1.0, rng)
@@ -91,8 +89,6 @@ def sample_beta(eta: float, rng: np.random.Generator) -> float:
     For small eta both draws can underflow to 0; the ratio then comes from
     their logarithms, as the logistic function of log g1 - log g2.
     """
-    if eta <= 0:
-        raise ConfigError(f"mix.eta must be positive, got {eta}")
     g1, log_g1 = sample_gamma(eta, rng)
     g2, log_g2 = sample_gamma(eta, rng)
     if g1 + g2 > 0:
@@ -114,10 +110,6 @@ def mix_arrays(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 
 def mix_batches(a: Batch, b: Batch, lam: float) -> Batch:
     """Features, soft labels, and class weights all mixed with the same lam."""
-    if a.x.shape != b.x.shape or a.y.shape != b.y.shape or a.w.shape != b.w.shape:
-        raise UsageError(
-            f"cannot mix batches of shapes {a.x.shape}/{a.y.shape} and {b.x.shape}/{b.y.shape}"
-        )
     return Batch(
         x=mix_arrays(a.x, b.x, lam),
         y=mix_arrays(a.y, b.y, lam),
@@ -155,8 +147,6 @@ def taskmix_synthesize(
     n_syn = len(per_task) if cfg.n_synthetic is None else int(cfg.n_synthetic)
     if n_syn == 0:
         return []
-    if not per_task:
-        raise UsageError("cannot synthesize tasks from an empty task list")
     out: list[SyntheticTaskBatch] = []
     for _ in range(n_syn):
         i = int(rng.integers(0, len(per_task)))
@@ -164,8 +154,6 @@ def taskmix_synthesize(
         lam = sample_beta(cfg.eta, rng)
         support_i, query_i = per_task[i]
         support_j, query_j = per_task[j]
-        if len(support_i) != len(support_j):
-            raise UsageError("tasks must have equally many support batches to mix")
         support = [mix_batches(a, b, lam) for a, b in zip(support_i, support_j)]
         out.append(
             SyntheticTaskBatch(

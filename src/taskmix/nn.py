@@ -13,9 +13,11 @@ reverse pass (`_backprop`); the HVP adds Pearlmutter's R-operator tangent
 terms to it. PReLU is h = max(z, 0) + slope * min(z, 0), and its derivative
 dh/dz is 1 where z > 0 and the slope elsewhere, z == 0 included.
 
-Input values are trusted: data is checked when it is read (`data.load_dataset`),
-and mixing only forms convex combinations of checked batches, so labels
-stay row-normalized and weights non-negative and finite.
+Inputs are trusted, values and shapes alike: data is checked when it is read
+(`data.load_dataset`, which also makes every task's width the model's input
+width), and mixing only forms convex combinations of checked batches of one
+shape, so labels stay row-normalized and weights non-negative and finite.
+Nothing here raises an engine error.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ShapeError
 
 FIRST_ORDER = "first_order"
 EXACT = "exact"
@@ -96,11 +96,6 @@ class ModelParams:
     head: HeadParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.flat.shape != (self.layout.size,):
-            raise ShapeError(
-                f"parameter vector has shape {self.flat.shape}, layout needs "
-                f"({self.layout.size},)"
-            )
         views = [self.flat[a:b].reshape(shape) for a, b, shape in self.layout.spans]
         self.layers = [LayerParams(*views[i : i + 3]) for i in range(0, len(views) - 2, 3)]
         self.head = HeadParams(*views[-2:])
@@ -111,10 +106,6 @@ class ModelParams:
 
     def copy(self) -> ModelParams:
         return self.like(self.flat.copy())
-
-    @property
-    def input_dim(self) -> int:
-        return self.layout.dims[0]
 
     @property
     def n_classes(self) -> int:
@@ -151,17 +142,9 @@ def init_params(
     return params
 
 
-def _check_input(params: ModelParams, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"input has shape {x.shape}, model expects [B, {params.input_dim}]"
-        )
-
-
 def _forward_cache(params: ModelParams, x: np.ndarray):
     """Returns (logits, hs, poss, negs): hs[k] is the input to layer k; for its
     preactivation z, poss[k] = z > 0 and negs[k] = minimum(z, 0)."""
-    _check_input(params, x)
     hs, poss, negs = [x], [], []
     h = x
     for layer in params.layers:
@@ -210,6 +193,14 @@ def _prelu_derivative(layer: LayerParams, pos: np.ndarray):
     return pos + layer.slope * ~pos
 
 
+def _tangent_weight_grad(r_d, h, d, r_h, out) -> None:
+    """out = r_d.T @ h + d.T @ r_h, a weight's HVP term; r_h None is a zero tangent."""
+    if r_h is None:
+        np.matmul(r_d.T, h, out=out)
+    else:
+        np.add(r_d.T @ h, d.T @ r_h, out=out)
+
+
 def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
     """One forward and one reverse pass of the batch loss at params.
 
@@ -233,20 +224,26 @@ def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
         np.matmul(delta.T, hs[-1], out=out.head.weight)
         delta.sum(axis=0, out=out.head.bias)
     else:
-        # Tangent forward pass.
+        # Tangent forward pass. The input's tangent is zero (None in r_hs), so
+        # its products are skipped.
         acts = [_prelu_derivative(layer, pos) for layer, pos in zip(params.layers, poss)]
-        r_hs, r_zs = [np.zeros_like(x)], []
+        r_hs, r_zs = [None], []
         for layer, v, act, neg, h_in in zip(params.layers, direction.layers, acts, negs, hs):
-            rz = r_hs[-1] @ layer.weight.T + h_in @ v.weight.T + v.bias
+            rz = h_in @ v.weight.T
+            if r_hs[-1] is not None:
+                rz += r_hs[-1] @ layer.weight.T
+            rz += v.bias
             r_zs.append(rz)
             r_hs.append(act * rz + neg * v.slope)
-        r_logits = r_hs[-1] @ head.weight.T + hs[-1] @ direction.head.weight.T
+        r_logits = hs[-1] @ direction.head.weight.T
+        if r_hs[-1] is not None:
+            r_logits += r_hs[-1] @ head.weight.T
         r_logits += direction.head.bias
         # Tangent of dLoss/dlogits. With labels and weights fixed, only the
         # softmax output moves: Rp = p * (Ru - <p, Ru>).
         rp = p * (r_logits - (p * r_logits).sum(axis=1, keepdims=True))
         r_delta = (weight_mass[:, None] * rp) / x.shape[0]
-        np.add(r_delta.T @ hs[-1], delta.T @ r_hs[-1], out=out.head.weight)
+        _tangent_weight_grad(r_delta, hs[-1], delta, r_hs[-1], out.head.weight)
         r_delta.sum(axis=0, out=out.head.bias)
         rd = r_delta @ head.weight + delta @ direction.head.weight
     d = delta @ head.weight
@@ -264,7 +261,7 @@ def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
             v = direction.layers[k]
             r_dz = rd * act + d * (v.slope * ~pos)
             (rd * negs[k] + d * (r_zs[k] * ~pos)).sum(axis=0, out=o.slope)
-            np.add(r_dz.T @ hs[k], dz.T @ r_hs[k], out=o.weight)
+            _tangent_weight_grad(r_dz, hs[k], dz, r_hs[k], o.weight)
             r_dz.sum(axis=0, out=o.bias)
             if k:
                 rd = r_dz @ layer.weight + dz @ v.weight

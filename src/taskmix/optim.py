@@ -73,7 +73,8 @@ def cosine_lr(step: int, schedule: Schedule) -> float:
 
 @dataclass
 class EarlyStopper:
-    """Stops after `patience` consecutive non-improving evaluations.
+    """Stops after `patience` (>= 1, as config validation ensures)
+    consecutive non-improving evaluations, toward MINIMIZE or MAXIMIZE.
 
     Keeps a copy of the best-scoring parameters (anything with a `.copy()`
     that owns its memory: a flat vector or ModelParams); the snapshot is the
@@ -86,12 +87,6 @@ class EarlyStopper:
     best_step: int = -1
     best_params: Any = None
     bad_count: int = field(default=0)
-
-    def __post_init__(self):
-        if self.direction not in (MINIMIZE, MAXIMIZE):
-            raise ConfigError(f"unknown direction {self.direction!r}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
     def _improved(self, value: float) -> bool:
         if self.best_value is None:

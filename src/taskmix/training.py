@@ -28,16 +28,17 @@ history and the divergence check for each of them.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import AUG_BOTH, AUG_METAMIX, AUG_TASKMIX, RunConfig
 from .data import Batch, Dataset, Task, full_split_batch, sample_batch
-from .data import ROLE_META_TEST
-from .errors import DataError, TrainingDivergedError, UsageError
+from .errors import TrainingDivergedError
 from .metrics import split_loss, split_macro_f1
 from .mixing import metamix_augment, taskmix_synthesize
 from .nn import (
@@ -90,6 +91,9 @@ def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int, eval_eve
     check their inputs (data is checked when it is read), so non-finite
     parameters show up here as a non-finite loss or evaluation.
     """
+    if sys.platform == "linux":  # glibc's malloc thresholds, fixed: see README
+        for param, value in ((-3, 32 << 20), (-1, 64 << 20)):  # M_MMAP_, M_TRIM_THRESHOLD
+            ctypes.CDLL(None).mallopt(param, value)
     history: list[dict] = []
     log = open(log_path, "w") if log_path else None
     try:
@@ -173,8 +177,6 @@ def meta_step(
     Returns (theta', adam_state', stats). The outer step index is
     adam_state.t, which also drives the cosine schedule.
     """
-    if not tasks:
-        raise DataError("meta_step requires at least one meta-training task")
     step = adam_state.t
     aug = cfg.meta.augmentation
     use_metamix = aug in (AUG_METAMIX, AUG_BOTH)
@@ -219,8 +221,6 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tr
     non-improvements and the best snapshot is returned.
     """
     tasks = dataset.meta_train_tasks
-    if not tasks:
-        raise DataError("meta-training requires at least one meta_train task")
     bundle = StreamBundle(seed)
     theta = initial_params(dataset, cfg, seed)
     adam_state = AdamState.init(theta.flat)
@@ -249,8 +249,6 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
     it started from. Non-finite parameters score NaN, which `_fit` reports
     as divergence.
     """
-    if task.role != ROLE_META_TEST:
-        raise UsageError(f"finetune targets meta_test tasks, got role {task.role!r}")
     batch = full_split_batch(task, "train")
     adam_state = AdamState.init(theta.flat)
     lr = cfg.finetune.lr
@@ -290,8 +288,6 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tra
     trained.
     """
     tasks = dataset.meta_train_tasks
-    if not tasks:
-        raise DataError("mtl_train requires at least one meta_train task")
     bundle = StreamBundle(seed)
     init_rng = bundle.init()
     base = init_params((dataset.dim, *cfg.model.hidden, dataset.c_max), init_rng)

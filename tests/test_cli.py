@@ -183,6 +183,16 @@ def test_override_flag_type_error(tmp_path, capsys):
     assert "meta.max_steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["meta.patience", "finetune.patience"])
+def test_patience_below_one_is_a_config_error(tmp_path, capsys, key):
+    # the early stopper trusts its patience; config validation is what checks it
+    manifest = write_tiny_dataset(tmp_path, seed=35)
+    code = main(["train", "--dataset", str(manifest), "--out", str(tmp_path / "r"),
+                 f"--{key}", "0"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_invalid_config_value_rejected(tmp_path, capsys):
     manifest = write_tiny_dataset(tmp_path, seed=35)
     code = main(["train", "--dataset", str(manifest), "--out", str(tmp_path / "r"),
@@ -570,3 +580,16 @@ def test_train_with_empty_split_is_a_data_error(tmp_path, capsys, role, split):
 
     assert train_exit_code(tmp_path, manifest_with(tmp_path, empty)) == 3
     assert f"{role} task has an empty {split} split" in capsys.readouterr().err
+
+
+def test_converted_tasks_too_small_to_split_are_a_data_error(tmp_path, capsys):
+    # No manifest splits: load_dataset splits 70/10/20 per class, and a class of
+    # 4 rows goes 3/0/1, leaving the validation split empty.
+    csv = tmp_path / "task.csv"
+    csv.write_text(csv_text([f"{i % 2},{i}.0,{i}.5" for i in range(8)]))
+    out = tmp_path / "ds"
+    for task_id, role in (("a", "meta_train"), ("b", "meta_test")):
+        assert main(["convert", "--csv", str(csv), "--id", task_id, "--role", role,
+                     "--out", str(out)]) == 0
+    assert train_exit_code(tmp_path, out / "manifest.json") == 3
+    assert "empty validation split" in capsys.readouterr().err

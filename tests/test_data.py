@@ -23,7 +23,7 @@ from taskmix.data import (
     write_dataset,
     write_task_file,
 )
-from taskmix.errors import DataError, UsageError
+from taskmix.errors import DataError
 from taskmix.rng import PURPOSE_SPLIT, substream
 
 from util import tiny_dataset
@@ -295,17 +295,6 @@ def test_sample_batch_rows_come_from_split():
     pool_rows = task.features[task.splits.validation]
     for row in batch.x:
         assert any(np.array_equal(row, p) for p in pool_rows)
-
-
-def test_empty_split_raises():
-    task = make_task()
-    task.splits.test = np.empty(0, dtype=np.int64)
-    with pytest.raises(UsageError, match="empty"):
-        sample_batch(task, "test", 4, np.random.default_rng(0))
-    with pytest.raises(UsageError, match="empty"):
-        full_split_batch(task, "test")
-    with pytest.raises(UsageError, match="unknown split"):
-        full_split_batch(task, "dev")
 
 
 def test_full_split_batch_preserves_order():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from taskmix.data import Splits, Task, compute_class_weights, full_split_batch
-from taskmix.errors import ConfigError, DataError, UsageError
+from taskmix.errors import ConfigError, DataError
 from taskmix.evaluation import (
     MetricsReport,
     render_report,
@@ -73,11 +73,6 @@ def test_macro_f1_absent_classes_count_as_zero():
     assert macro_f1(y_true, y_pred, 3) == pytest.approx(2.0 / 3.0)
 
 
-def test_macro_f1_shape_guard():
-    with pytest.raises(UsageError):
-        macro_f1(np.array([0, 1]), np.array([0]), 2)
-
-
 def constant_model(dim, width, bias=None):
     # head only: zero weights, so the logits are the bias
     b = np.zeros(width) if bias is None else np.asarray(bias, dtype=np.float64)
@@ -100,10 +95,6 @@ def test_predict_labels_masks_padded_classes():
     x = np.zeros((6, 3))
     pred = predict_labels(model, x, 2)
     assert np.all(pred == 1)
-    with pytest.raises(UsageError):
-        predict_labels(model, x, 5)
-    with pytest.raises(UsageError):
-        predict_labels(model, x, 0)
 
 
 def hand_task():

@@ -5,7 +5,7 @@ import pytest
 
 from taskmix import mixing
 from taskmix.data import Batch
-from taskmix.errors import ConfigError, UsageError
+from taskmix.errors import ConfigError
 from taskmix.mixing import (
     MixConfig,
     metamix_augment,
@@ -64,13 +64,6 @@ def test_mix_batches_same_lambda_everywhere():
     assert np.allclose(mixed.w, b.w + 0.25 * (a.w - b.w), rtol=1e-15)
 
 
-def test_mix_batches_shape_mismatch():
-    a = random_batch(1, b=4, c=3, d=2)
-    b = random_batch(2, b=5, c=3, d=2)
-    with pytest.raises(UsageError):
-        mix_batches(a, b, 0.5)
-
-
 def test_beta_moments_eta_half():
     rng = substream(123, "beta", "moments")
     draws = np.array([sample_beta(0.5, rng) for _ in range(100_000)])
@@ -111,14 +104,6 @@ def test_beta_small_eta_survives_gamma_underflow():
         g, log_g = sample_gamma(0.3, rng)
         if g > 0:
             assert log_g == pytest.approx(np.log(g), rel=1e-12, abs=1e-12)
-
-
-def test_sampler_guards():
-    rng = np.random.default_rng(0)
-    with pytest.raises(UsageError):
-        sample_gamma(0.0, rng)
-    with pytest.raises(ConfigError):
-        sample_beta(-1.0, rng)
 
 
 def test_mix_config_validation_names_keys():
@@ -224,14 +209,3 @@ def test_taskmix_deterministic_per_stream():
     b = taskmix_synthesize(per_task, MixConfig(), substream(5, "beta", "taskmix"))
     assert [s.provenance for s in a] == [s.provenance for s in b]
 
-
-def test_taskmix_empty_input_raises():
-    with pytest.raises(UsageError):
-        taskmix_synthesize([], MixConfig(n_synthetic=2), np.random.default_rng(0))
-
-
-def test_taskmix_mismatched_support_counts_raise():
-    a = per_task_batches(1, 2)[0]
-    b = per_task_batches(1, 3, seed0=200)[0]
-    with pytest.raises(UsageError):
-        taskmix_synthesize([a, b], MixConfig(n_synthetic=20), np.random.default_rng(1))

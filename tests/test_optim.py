@@ -231,13 +231,6 @@ def test_early_stopper_best_never_worse_than_any_seen():
         assert stopper.best_value == target
 
 
-def test_early_stopper_validation():
-    with pytest.raises(ConfigError):
-        EarlyStopper(patience=0, direction=MINIMIZE)
-    with pytest.raises(ConfigError):
-        EarlyStopper(patience=2, direction="sideways")
-
-
 def test_early_stopper_nan_never_improves():
     stopper = EarlyStopper(patience=2, direction=MINIMIZE)
     stopper.update(1.0, 0, PARAMS)
