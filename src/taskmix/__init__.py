@@ -19,7 +19,6 @@ from .config import (
 from .data import (
     Batch,
     Dataset,
-    Splits,
     Task,
     auto_split,
     compute_class_weights,
@@ -28,17 +27,10 @@ from .data import (
     write_dataset,
 )
 from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
-from .evaluation import (
-    MetricsReport,
-    TrialSummary,
-    render_report,
-    run_method,
-    summarize,
-)
+from .evaluation import render_report, run_method, summarize
 from .metrics import evaluate_model, macro_f1, predict_labels, split_macro_f1
 from .mixing import (
     MixConfig,
-    SyntheticTaskBatch,
     metamix_augment,
     mix_batches,
     sample_beta,

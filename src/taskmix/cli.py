@@ -33,8 +33,7 @@ from .config import (
 )
 from .data import ROLES, load_dataset, read_csv_features, write_dataset, write_task_file
 from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
-from .evaluation import (MetricsReport, read_cell, render_report, run_method, seed_record,
-                         summarize, train_phase)
+from .evaluation import read_cell, render_report, run_method, summarize, train_phase
 from .nn import ModelParams
 from .synth import generate, preset
 
@@ -144,6 +143,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.task_id in ("", ".", "..") or Path(args.task_id).name != args.task_id:
+        raise ConfigError(f"--id {args.task_id!r} must be a plain file name")
     features, labels, n_classes = read_csv_features(args.csv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,22 +216,22 @@ def cmd_experiment(args) -> int:
     results = out / "results"
     summaries = []
     for method in methods:
-        reports = []
+        records = []
         for seed in cfg.seeds:
             cell_dir = results / method
             cell_dir.mkdir(parents=True, exist_ok=True)
             cell = cell_dir / f"seed_{seed}.json"
             if cell.exists():
-                report = read_cell(_read_json(cell), cell)[1]
+                record = read_cell(_read_json(cell), cell)[1]
             else:
                 try:
-                    report = run_method(dataset, method, cfg, seed)
+                    record = run_method(dataset, method, cfg, seed)
                 except TaskMixError as exc:
                     exc.args = (f"method {method!r}, seed {seed}: {exc}",)
                     raise
-                _write_json(cell, {"method": method, **seed_record(report)})
-            reports.append(report)
-        summaries.append(summarize(method, reports))
+                _write_json(cell, {"method": method, **record})
+            records.append(record)
+        summaries.append(summarize(method, records))
     _write_json(out / "config.json", to_dict(cfg))
     _publish_report(out, summaries)
     return 0
@@ -241,13 +242,13 @@ def cmd_report(args) -> int:
     cells = sorted((base / "results").glob("*/seed_*.json"))
     if not cells:
         raise DataError(f"no result cells found under {base / 'results'}")
-    by_method: dict[str, list[MetricsReport]] = {}
+    by_method: dict[str, list[dict]] = {}
     for cell in cells:
-        method, report = read_cell(_read_json(cell), cell)
-        by_method.setdefault(method, []).append(report)
+        method, record = read_cell(_read_json(cell), cell)
+        by_method.setdefault(method, []).append(record)
     _publish_report(base, [
-        summarize(method, sorted(reports, key=lambda r: r.seed))
-        for method, reports in sorted(by_method.items())
+        summarize(method, sorted(records, key=lambda r: r["seed"]))
+        for method, records in sorted(by_method.items())
     ])
     return 0
 
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_convert = sub.add_parser("convert", help="ingest a CSV feature dump as one task")
     p_convert.add_argument("--csv", required=True, help="CSV with header label,f0,...,f{D-1}")
-    p_convert.add_argument("--id", dest="task_id", required=True, help="task id")
+    p_convert.add_argument("--id", dest="task_id", required=True,
+                           help="task id, a plain file name (written as <id>.tmxf)")
     p_convert.add_argument("--role", choices=list(ROLES), required=True)
     p_convert.add_argument("--out", dest="out", required=True,
                            help="dataset directory (manifest is created or extended)")

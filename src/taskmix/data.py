@@ -39,26 +39,13 @@ SPLIT_SEED = 1234
 
 
 @dataclass
-class Splits:
-    train: np.ndarray
-    validation: np.ndarray
-    test: np.ndarray
-
-    def get(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def as_lists(self) -> dict[str, list[int]]:
-        return {name: [int(i) for i in self.get(name)] for name in SPLIT_NAMES}
-
-
-@dataclass
 class Task:
     id: str
     role: str
     n_classes: int
     features: np.ndarray  # [n, D] float32
     labels: np.ndarray  # [n] int64, values in [0, n_classes)
-    splits: Splits
+    splits: dict[str, np.ndarray]  # SPLIT_NAMES -> int64 example indices
     class_weights: np.ndarray  # [C_max] float64, zero beyond n_classes
     metadata: dict = field(default_factory=dict)
 
@@ -182,7 +169,7 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def auto_split(labels: np.ndarray, rng: np.random.Generator) -> Splits:
+def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Stratified 70/10/20 train/validation/test split, deterministic per rng state.
 
     Per-class allocation uses largest remainders, with ties going to the
@@ -207,14 +194,13 @@ def auto_split(labels: np.ndarray, rng: np.random.Generator) -> Splits:
             buckets[k].append(idx[pos : pos + base[k]])
             pos += base[k]
 
-    parts = [
-        np.sort(np.concatenate(b)) if b else np.empty(0, dtype=np.int64)
-        for b in buckets
-    ]
-    return Splits(*[p.astype(np.int64) for p in parts])
+    return {
+        name: np.sort(np.concatenate(b)).astype(np.int64) if b else np.empty(0, dtype=np.int64)
+        for name, b in zip(SPLIT_NAMES, buckets)
+    }
 
 
-def _given_splits(given, n: int, where: str) -> Splits:
+def _given_splits(given, n: int, where: str) -> dict[str, np.ndarray]:
     """A manifest's explicit splits: three lists of integer indices in [0, n)
     that are disjoint and cover all n examples."""
     missing = [name for name in SPLIT_NAMES if not isinstance(given, dict) or name not in given]
@@ -224,8 +210,8 @@ def _given_splits(given, n: int, where: str) -> Splits:
         idx = given[name]
         if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < n for i in idx):
             raise DataError(f"{where}: split {name!r} must list integer indices in [0, {n})")
-    splits = Splits(*[np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES])
-    seen = np.concatenate([splits.train, splits.validation, splits.test])
+    splits = {name: np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES}
+    seen = np.concatenate(list(splits.values()))
     if len(seen) != n or len(np.unique(seen)) != n:
         raise DataError(f"{where}: splits must be disjoint and cover all {n} examples")
     return splits
@@ -295,10 +281,10 @@ def load_dataset(manifest_path) -> Dataset:
             splits = auto_split(labels, substream(SPLIT_SEED, PURPOSE_SPLIT, entry["id"]))
         # meta-training evaluates on validation; meta-test also scores on test
         needed = SPLIT_NAMES if entry["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
-        empty = [name for name in needed if len(splits.get(name)) == 0]
+        empty = [name for name in needed if len(splits[name]) == 0]
         if empty:
             raise DataError(f"{where}: {entry['role']} task has an empty {empty[0]} split")
-        weights = compute_class_weights(labels[splits.train], n_classes, c_max)
+        weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
         metadata = {
             k: entry[k] for k in ("language", "domain") if k in entry
         }
@@ -332,7 +318,7 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
             "id": task.id,
             "role": task.role,
             "file": filename,
-            "splits": task.splits.as_lists(),
+            "splits": {name: idx.tolist() for name, idx in task.splits.items()},
         }
         entry.update(task.metadata)
         entries.append(entry)
@@ -351,7 +337,7 @@ def sample_batch(
     task: Task, split: str, batch_size: int, rng: np.random.Generator
 ) -> Batch:
     """Uniform draw with replacement; labels one-hot encoded to C_max width."""
-    pool = task.splits.get(split)
+    pool = task.splits[split]
     rows = pool[rng.integers(0, len(pool), size=int(batch_size))]
     width = len(task.class_weights)
     return Batch(
@@ -363,7 +349,7 @@ def sample_batch(
 
 def full_split_batch(task: Task, split: str) -> Batch:
     """The entire split as one batch; used for rng-free evaluation passes."""
-    pool = task.splits.get(split)
+    pool = task.splits[split]
     width = len(task.class_weights)
     return Batch(
         x=task.features[pool],

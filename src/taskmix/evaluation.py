@@ -2,39 +2,24 @@
 
 A trial runs one method end to end for one seed: the method's training
 phase (if any), then fine-tuning on every held-out task, then macro F1 on
-each task's test split. Trials aggregate into per-method mean and sample
-standard deviation of the average macro F1, formatted as the familiar
-"mean ± std" leaderboard.
+each task's test split. It returns a seed record {"seed", "average_macro_f1",
+"per_task"}, which a result cell stores beside its "method". A method's
+records aggregate into its report.json entry, {"method", "mean", "std",
+"seeds"}, rendered as the familiar "mean ± std" leaderboard.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from pathlib import Path
 
 from .config import METHOD_AUGMENTATION, RunConfig
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .metrics import evaluate_model
 from .training import TrainedModel, finetune, initial_params, meta_train, mtl_train
-
-
-@dataclass
-class MetricsReport:
-    """One seed's scores: per-task test macro F1 and their unweighted mean."""
-
-    seed: int
-    per_task: dict[str, float]
-    average_macro_f1: float
-
-
-@dataclass
-class TrialSummary:
-    method: str
-    mean: float
-    std: float
-    reports: list[MetricsReport]
 
 
 def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int,
@@ -49,9 +34,9 @@ def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int,
     return meta_train(dataset, meta_cfg, seed, log_path)
 
 
-def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> MetricsReport:
-    """One experiment cell: train (when the method has a training phase),
-    fine-tune each held-out task, score its test split."""
+def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> dict:
+    """One experiment cell's seed record: train (when the method has a
+    training phase), fine-tune each held-out task, score its test split."""
     if not dataset.meta_test_tasks:
         raise DataError("evaluation requires at least one meta_test task")
 
@@ -65,67 +50,54 @@ def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> Metr
         tuned = finetune(theta, task, cfg)
         per_task[task.id] = evaluate_model(tuned.params, task)
     average = sum(per_task.values()) / len(per_task)
-    return MetricsReport(seed=seed, per_task=per_task, average_macro_f1=average)
+    return {"seed": seed, "average_macro_f1": average, "per_task": per_task}
 
 
-def summarize(method: str, reports: list[MetricsReport]) -> TrialSummary:
-    values = [r.average_macro_f1 for r in reports]
+def summarize(method: str, records: list[dict]) -> dict:
+    """The method's report.json entry: mean and sample std of its seed
+    records' average macro F1, and the records themselves."""
+    values = [r["average_macro_f1"] for r in records]
     mean = sum(values) / len(values)
     if len(values) == 1 or all(v == values[0] for v in values):
         # exact zero for identical seeds; the accumulated mean would not be
         std = 0.0
     else:
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-    return TrialSummary(method=method, mean=mean, std=std, reports=reports)
-
-
-def seed_record(report: MetricsReport) -> dict:
-    """One seed's record, as report.json lists it and a result cell stores it
-    (beside the cell's "method")."""
-    return {
-        "seed": report.seed,
-        "average_macro_f1": report.average_macro_f1,
-        "per_task": dict(sorted(report.per_task.items())),
-    }
+    return {"method": method, "mean": mean, "std": std, "seeds": records}
 
 
 _CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "per_task": dict}
 
 
-def read_cell(cell, where) -> tuple[str, MetricsReport]:
-    """(method, report) of a result cell's parsed JSON; DataError naming
-    `where` if a field is missing or mistyped."""
+def read_cell(cell, path: Path) -> tuple[str, dict]:
+    """(method, seed record) of the parsed JSON of the result cell at path.
+
+    DataError naming path if a field is missing or mistyped, or if the
+    cell's method and seed do not match its place,
+    results/<method>/seed_<seed>.json.
+    """
     cell = cell if isinstance(cell, dict) else {}
     bad = [k for k, tp in _CELL_FIELDS.items()
            if not isinstance(cell.get(k), tp) or isinstance(cell.get(k), bool)]
     if bad or not all(isinstance(v, (int, float)) for v in cell["per_task"].values()):
-        raise DataError(f"{where}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
-    return cell["method"], MetricsReport(cell["seed"], cell["per_task"], cell["average_macro_f1"])
+        raise DataError(f"{path}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
+    method, seed = cell["method"], cell["seed"]
+    if (path.parent.name, path.name) != (method, f"seed_{seed}.json"):
+        raise DataError(f"{path}: result cell of method {method!r}, seed {seed} is misfiled")
+    return method, {k: cell[k] for k in ("seed", "average_macro_f1", "per_task")}
 
 
-def summary_to_dict(summary: TrialSummary) -> dict:
-    return {
-        "method": summary.method,
-        "mean": summary.mean,
-        "std": summary.std,
-        "seeds": [seed_record(r) for r in summary.reports],
-    }
-
-
-def render_report(summaries: list[TrialSummary]) -> tuple[str, str]:
+def render_report(summaries: list[dict]) -> tuple[str, str]:
     """(text table, JSON document), both sorted by mean, best first.
 
-    The table shows mean ± std to three decimals; the JSON keeps full
-    precision and the per-task scores.
+    The table shows mean ± std to three decimals; the JSON is the list of
+    summaries itself, at full precision and with the per-task scores.
     """
-    if not summaries:
-        raise DataError("no trial summaries to report")
-    ordered = sorted(summaries, key=lambda s: (-s.mean, s.method))
-    width = max(len(s.method) for s in ordered)
-    width = max(width, len("method"))
+    ordered = sorted(summaries, key=lambda s: (-s["mean"], s["method"]))
+    width = max([len("method")] + [len(s["method"]) for s in ordered])
     lines = [f"{'method':<{width}}  avg_macro_f1"]
     for s in ordered:
-        lines.append(f"{s.method:<{width}}  {s.mean:.3f} ± {s.std:.3f}")
+        lines.append(f"{s['method']:<{width}}  {s['mean']:.3f} ± {s['std']:.3f}")
     text = "\n".join(lines) + "\n"
-    doc = json.dumps([summary_to_dict(s) for s in ordered], indent=2, sort_keys=True) + "\n"
+    doc = json.dumps(ordered, indent=2, sort_keys=True) + "\n"
     return text, doc

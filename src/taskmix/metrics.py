@@ -40,7 +40,7 @@ def macro_f1(true_labels: np.ndarray, predicted: np.ndarray, n_classes: int) -> 
 
 
 def split_macro_f1(params: ModelParams, task: Task, split: str) -> float:
-    pool = task.splits.get(split)
+    pool = task.splits[split]
     predicted = predict_labels(params, task.features[pool], task.n_classes)
     return macro_f1(task.labels[pool], predicted, task.n_classes)
 

@@ -5,8 +5,9 @@ Two uses share the same primitive mix(a, b, lam) = lam*a + (1-lam)*b:
   * metamix_augment blends a task's query batch with a shuffled copy of
     itself, giving each task an extra smoothed gradient term;
   * taskmix_synthesize blends the support/query batches of two randomly
-    chosen training tasks into a synthetic task, widening the task
-    distribution the learner adapts to.
+    chosen training tasks into a synthetic task, a (support batches, query
+    batch) pair shaped like a real task's, widening the task distribution
+    the learner adapts to.
 
 Mixing coefficients are Beta(eta, eta) draws. Sampling goes through
 Marsaglia-Tsang gamma generation so coefficient streams are fully owned by
@@ -42,16 +43,6 @@ class MixConfig:
             raise ConfigError(f"mix.eta must be positive, got {self.eta}")
         if self.n_synthetic is not None and self.n_synthetic < 0:
             raise ConfigError(f"mix.n_synthetic must be >= 0, got {self.n_synthetic}")
-
-
-@dataclass
-class SyntheticTaskBatch:
-    """One synthetic task: mixed support batches, mixed query batch, and the
-    (source index, source index, coefficient) triple that produced it."""
-
-    support: list[Batch]
-    query: Batch
-    provenance: tuple[int, int, float]
 
 
 def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, float]:
@@ -134,20 +125,19 @@ def taskmix_synthesize(
     per_task: list[tuple[list[Batch], Batch]],
     cfg: MixConfig,
     rng: np.random.Generator,
-) -> list[SyntheticTaskBatch]:
+) -> list[tuple[list[Batch], Batch]]:
     """Blend random pairs of this step's real task batches into new tasks.
 
     per_task holds each real task's (support batches, query batch) for the
-    current outer step. Every synthetic task draws an independent source
-    pair (a task may pair with itself) and a single coefficient, then mixes
+    current outer step, and each synthetic task comes back in that same
+    shape. Every synthetic task draws an independent source pair i, j (a
+    task may pair with itself), then a single coefficient lam, and mixes
     support-with-support (stepwise) and query-with-query. All draws come
     from the one stream passed in, which nothing else consumes; a synthetic
     count of zero therefore draws nothing and changes nothing.
     """
     n_syn = len(per_task) if cfg.n_synthetic is None else int(cfg.n_synthetic)
-    if n_syn == 0:
-        return []
-    out: list[SyntheticTaskBatch] = []
+    out = []
     for _ in range(n_syn):
         i = int(rng.integers(0, len(per_task)))
         j = int(rng.integers(0, len(per_task)))
@@ -155,11 +145,5 @@ def taskmix_synthesize(
         support_i, query_i = per_task[i]
         support_j, query_j = per_task[j]
         support = [mix_batches(a, b, lam) for a, b in zip(support_i, support_j)]
-        out.append(
-            SyntheticTaskBatch(
-                support=support,
-                query=mix_batches(query_i, query_j, lam),
-                provenance=(i, j, lam),
-            )
-        )
+        out.append((support, mix_batches(query_i, query_j, lam)))
     return out

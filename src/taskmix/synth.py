@@ -118,7 +118,7 @@ def _make_task(
     features, labels = features[order].astype(np.float32), labels[order]
 
     splits = auto_split(labels, substream(spec.seed, PURPOSE_SPLIT, task_id))
-    weights = compute_class_weights(labels[splits.train], n_classes, c_max)
+    weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
     return Task(
         id=task_id,
         role=role,

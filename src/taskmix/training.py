@@ -195,7 +195,7 @@ def meta_step(
     units = [(task.id, sup, query) for task, (sup, query) in zip(tasks, per_task)]
     if use_taskmix:
         synthetic = taskmix_synthesize(per_task, cfg.mix, bundle.beta("taskmix"))
-        units += [(f"synthetic/{k}", s.support, s.query) for k, s in enumerate(synthetic)]
+        units += [(f"synthetic/{k}", sup, query) for k, (sup, query) in enumerate(synthetic)]
 
     total_loss = 0.0
     total_grads = None

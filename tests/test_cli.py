@@ -82,6 +82,17 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("task_id", ["", ".", "..", "sub/x", "../escaped", "x/"])
+def test_convert_id_must_be_a_plain_file_name(tmp_path, capsys, task_id):
+    csv = tmp_path / "task.csv"
+    csv.write_text(csv_text(["0,1.0,2.0", "1,3.0,4.0", "0,5.0,6.0", "1,0.5,0.25"]))
+    code = main(["convert", "--csv", str(csv), "--id", task_id, "--role", "meta_train",
+                 "--out", str(tmp_path / "ds")])
+    assert code == 2
+    assert "--id" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["task.csv"]  # nothing written
+
+
 def test_convert_reports_line_numbers(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text(csv_text(["0,1.0,2.0", "1,oops,4.0"]))
@@ -321,11 +332,37 @@ def test_report_rerenders_from_cells(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "exp"
     assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0,1")) == 0
-    original = (out / "report.txt").read_bytes()
-    (out / "report.txt").unlink()
-    (out / "report.json").unlink()
+    original = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
+    for name in original:
+        (out / name).unlink()
     assert main(["report", "--in", str(out)]) == 0
-    assert (out / "report.txt").read_bytes() == original
+    assert {name: (out / name).read_bytes() for name in original} == original
+
+
+@pytest.mark.parametrize("place", ["vanilla/seed_1.json", "mtl/seed_0.json"])
+def test_report_with_misfiled_cell_is_a_data_error(tmp_path, capsys, place):
+    # a copy of vanilla's seed-0 cell under another seed or another method
+    record = {"method": "vanilla", "seed": 0, "average_macro_f1": 0.5, "per_task": {"t": 0.5}}
+    for name in ("vanilla/seed_0.json", place):
+        cell = tmp_path / "results" / name
+        cell.parent.mkdir(parents=True, exist_ok=True)
+        cell.write_text(json.dumps(record))
+    assert main(["report", "--in", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "results" / place) in err and "misfiled" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_experiment_resume_with_misfiled_cell_is_a_data_error(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=37)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
+    cells = out / "results" / "vanilla"
+    (cells / "seed_1.json").write_bytes((cells / "seed_0.json").read_bytes())
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0,1")) == 3
+    err = capsys.readouterr().err
+    assert str(cells / "seed_1.json") in err and "misfiled" in err
 
 
 def test_report_without_cells_is_a_data_error(tmp_path, capsys):

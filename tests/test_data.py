@@ -10,7 +10,6 @@ from taskmix.data import (
     MAGIC,
     ROLE_META_TEST,
     ROLE_META_TRAIN,
-    Splits,
     Task,
     auto_split,
     compute_class_weights,
@@ -127,13 +126,13 @@ def test_auto_split_is_stratified_and_covering():
     labels = stratified_labels([40, 25, 10])
     rng = np.random.default_rng(0)
     splits = auto_split(labels, rng)
-    all_idx = np.concatenate([splits.train, splits.validation, splits.test])
+    all_idx = np.concatenate(list(splits.values()))
     assert len(np.unique(all_idx)) == len(labels)
     for c, n_c in enumerate([40, 25, 10]):
-        got = np.sum(labels[splits.train] == c)
+        got = np.sum(labels[splits["train"]] == c)
         assert abs(got - 0.7 * n_c) <= 1.0
-        assert np.sum(labels[splits.validation] == c) >= 1
-        assert np.sum(labels[splits.test] == c) >= 1
+        assert np.sum(labels[splits["validation"]] == c) >= 1
+        assert np.sum(labels[splits["test"]] == c) >= 1
 
 
 def test_auto_split_deterministic_per_stream():
@@ -141,7 +140,7 @@ def test_auto_split_deterministic_per_stream():
     a = auto_split(labels, substream(5, PURPOSE_SPLIT, "t"))
     b = auto_split(labels, substream(5, PURPOSE_SPLIT, "t"))
     for name in ("train", "validation", "test"):
-        assert np.array_equal(a.get(name), b.get(name))
+        assert np.array_equal(a[name], b[name])
 
 
 def test_auto_split_errors():
@@ -163,7 +162,7 @@ def test_write_load_roundtrip(tmp_path):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         for name in ("train", "validation", "test"):
-            assert np.array_equal(a.splits.get(name), b.splits.get(name))
+            assert np.array_equal(a.splits[name], b.splits[name])
         assert np.array_equal(a.class_weights, b.class_weights)
 
 
@@ -178,7 +177,7 @@ def test_load_dataset_auto_split_path(tmp_path):
     first = load_dataset(manifest_path)
     second = load_dataset(manifest_path)
     for a, b in zip(first.tasks, second.tasks):
-        assert np.array_equal(a.splits.train, b.splits.train)
+        assert np.array_equal(a.splits["train"], b.splits["train"])
 
 
 def test_load_dataset_error_cases(tmp_path):
@@ -247,17 +246,17 @@ def test_meta_train_task_may_leave_its_test_split_empty(tmp_path):
     entry["splits"]["train"] += entry["splits"]["test"]
     entry["splits"]["test"] = []
     manifest_path.write_text(json.dumps(manifest))
-    assert len(load_dataset(manifest_path).tasks[0].splits.test) == 0
+    assert len(load_dataset(manifest_path).tasks[0].splits["test"]) == 0
 
 
 def make_task(n=20, d=3, n_classes=2, c_max=4):
     rng = np.random.default_rng(31)
     labels = np.asarray([k % n_classes for k in range(n)], dtype=np.int64)
-    splits = Splits(
-        train=np.arange(0, n - 6, dtype=np.int64),
-        validation=np.arange(n - 6, n - 3, dtype=np.int64),
-        test=np.arange(n - 3, n, dtype=np.int64),
-    )
+    splits = {
+        "train": np.arange(0, n - 6, dtype=np.int64),
+        "validation": np.arange(n - 6, n - 3, dtype=np.int64),
+        "test": np.arange(n - 3, n, dtype=np.int64),
+    }
     return Task(
         id="hand",
         role=ROLE_META_TRAIN,
@@ -265,7 +264,7 @@ def make_task(n=20, d=3, n_classes=2, c_max=4):
         features=rng.standard_normal((n, d)).astype(np.float32),
         labels=labels,
         splits=splits,
-        class_weights=compute_class_weights(labels[splits.train], n_classes, c_max),
+        class_weights=compute_class_weights(labels[splits["train"]], n_classes, c_max),
     )
 
 
@@ -292,7 +291,7 @@ def test_sample_batch_deterministic():
 def test_sample_batch_rows_come_from_split():
     task = make_task()
     batch = sample_batch(task, "validation", 32, np.random.default_rng(0))
-    pool_rows = task.features[task.splits.validation]
+    pool_rows = task.features[task.splits["validation"]]
     for row in batch.x:
         assert any(np.array_equal(row, p) for p in pool_rows)
 
@@ -300,9 +299,9 @@ def test_sample_batch_rows_come_from_split():
 def test_full_split_batch_preserves_order():
     task = make_task()
     batch = full_split_batch(task, "train")
-    assert np.array_equal(batch.x, task.features[task.splits.train])
+    assert np.array_equal(batch.x, task.features[task.splits["train"]])
     assert np.array_equal(
-        np.argmax(batch.y, axis=1), task.labels[task.splits.train]
+        np.argmax(batch.y, axis=1), task.labels[task.splits["train"]]
     )
 
 

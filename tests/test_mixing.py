@@ -185,18 +185,20 @@ def test_taskmix_default_count_equals_task_count():
 def test_taskmix_provenance_and_shared_lambda():
     per_task = per_task_batches(5, 3)
     out = taskmix_synthesize(per_task, MixConfig(), np.random.default_rng(8))
-    for syn in out:
-        i, j, lam = syn.provenance
+    twin = np.random.default_rng(8)  # replays each task's draws: i, j, then lam
+    for support, query in out:
+        i, j = int(twin.integers(0, 5)), int(twin.integers(0, 5))
+        lam = sample_beta(MixConfig().eta, twin)
         assert 0 <= i < 5 and 0 <= j < 5
         assert 0.0 <= lam <= 1.0
-        assert len(syn.support) == 3
+        assert len(support) == 3
         # the pair's one coefficient reproduces every mixed batch exactly
         sup_i, q_i = per_task[i]
         sup_j, q_j = per_task[j]
         rebuilt_q = mix_batches(q_i, q_j, lam)
-        assert np.array_equal(syn.query.x, rebuilt_q.x)
-        assert np.array_equal(syn.query.y, rebuilt_q.y)
-        for got, a, b in zip(syn.support, sup_i, sup_j):
+        assert np.array_equal(query.x, rebuilt_q.x)
+        assert np.array_equal(query.y, rebuilt_q.y)
+        for got, a, b in zip(support, sup_i, sup_j):
             rebuilt = mix_batches(a, b, lam)
             assert np.array_equal(got.x, rebuilt.x)
             assert np.array_equal(got.y, rebuilt.y)
@@ -207,5 +209,8 @@ def test_taskmix_deterministic_per_stream():
     per_task = per_task_batches(3, 1)
     a = taskmix_synthesize(per_task, MixConfig(), substream(5, "beta", "taskmix"))
     b = taskmix_synthesize(per_task, MixConfig(), substream(5, "beta", "taskmix"))
-    assert [s.provenance for s in a] == [s.provenance for s in b]
+    assert len(a) == len(b) == 3
+    for (sup_a, q_a), (sup_b, q_b) in zip(a, b):
+        for x, y in zip(sup_a + [q_a], sup_b + [q_b]):
+            assert np.array_equal(x.x, y.x) and np.array_equal(x.y, y.y)
 

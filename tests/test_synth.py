@@ -73,7 +73,7 @@ def test_generate_deterministic():
     for ta, tb in zip(a.tasks, b.tasks):
         assert np.array_equal(ta.features, tb.features)
         assert np.array_equal(ta.labels, tb.labels)
-        assert np.array_equal(ta.splits.train, tb.splits.train)
+        assert np.array_equal(ta.splits["train"], tb.splits["train"])
     c = generate(replace(spec, seed=12))
     assert not np.array_equal(a.tasks[0].features, c.tasks[0].features)
 
@@ -83,15 +83,13 @@ def test_generated_tasks_satisfy_invariants():
     assert ds.c_max == max(t.n_classes for t in ds.tasks)
     for task in ds.tasks:
         n = len(task.labels)
-        joined = np.concatenate(
-            [task.splits.train, task.splits.validation, task.splits.test]
-        )
+        joined = np.concatenate(list(task.splits.values()))
         assert len(np.unique(joined)) == n  # disjoint and covering
         assert task.labels.min() >= 0
         assert task.labels.max() < task.n_classes
         assert np.isfinite(task.features).all()
         # every class reaches the train split
-        train_labels = task.labels[task.splits.train]
+        train_labels = task.labels[task.splits["train"]]
         assert len(np.unique(train_labels)) == task.n_classes
         counts = np.bincount(train_labels, minlength=task.n_classes)
         assert np.isclose(

@@ -95,9 +95,9 @@ def cases():
                 yield f"{name} finetune {start} {task.id}", model_digest(finetune(theta, task, cfg))
         for grad_mode in GRAD_MODES:
             for method in METHODS:
-                report = run_method(ds, method, config(grad_mode=grad_mode), seed=1)
+                record = run_method(ds, method, config(grad_mode=grad_mode), seed=1)
                 yield (f"{name} run_method {method} {grad_mode}",
-                       digest(report.seed, report.per_task, report.average_macro_f1))
+                       digest(record["seed"], record["per_task"], record["average_macro_f1"]))
 
 
 def main() -> int:
