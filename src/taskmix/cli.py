@@ -95,19 +95,13 @@ def _require(cfg: RunConfig, key: str):
 
 
 def _params_to_jsonable(params: ModelParams) -> dict:
+    layers, (weight, bias) = params.layout.views(params.flat)
     return {
         "layers": [
-            {
-                "weight": layer.weight.tolist(),
-                "bias": layer.bias.tolist(),
-                "slope": layer.slope.tolist(),
-            }
-            for layer in params.layers
+            {"weight": w.tolist(), "bias": b.tolist(), "slope": s.tolist()}
+            for w, b, s in layers
         ],
-        "head": {
-            "weight": params.head.weight.tolist(),
-            "bias": params.head.bias.tolist(),
-        },
+        "head": {"weight": weight.tolist(), "bias": bias.tolist()},
     }
 
 

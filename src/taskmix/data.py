@@ -149,6 +149,8 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
         raise DataError(f"{path}: unsupported version {version}")
     if dim == 0:
         raise DataError(f"{path}: feature dimension is 0")
+    if n_classes > n:  # every class needs a train example
+        raise DataError(f"{path}: header claims {n_classes} classes for {n} records")
     record = np.dtype([("label", "<u4"), ("feat", "<f4", (dim,))])
     expected = _HEADER.size + n * record.itemsize
     if len(raw) != expected:
@@ -333,29 +335,26 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _rows_batch(task: Task, rows: np.ndarray) -> Batch:
+    """The given rows of a task; labels one-hot encoded to C_max width."""
+    return Batch(
+        x=task.features[rows],
+        y=one_hot(task.labels[rows], len(task.class_weights)),
+        w=task.class_weights.astype(np.float32),
+    )
+
+
 def sample_batch(
     task: Task, split: str, batch_size: int, rng: np.random.Generator
 ) -> Batch:
-    """Uniform draw with replacement; labels one-hot encoded to C_max width."""
+    """Uniform draw with replacement from the split."""
     pool = task.splits[split]
-    rows = pool[rng.integers(0, len(pool), size=int(batch_size))]
-    width = len(task.class_weights)
-    return Batch(
-        x=task.features[rows],
-        y=one_hot(task.labels[rows], width),
-        w=task.class_weights.astype(np.float32),
-    )
+    return _rows_batch(task, pool[rng.integers(0, len(pool), size=int(batch_size))])
 
 
 def full_split_batch(task: Task, split: str) -> Batch:
     """The entire split as one batch; used for rng-free evaluation passes."""
-    pool = task.splits[split]
-    width = len(task.class_weights)
-    return Batch(
-        x=task.features[pool],
-        y=one_hot(task.labels[pool], width),
-        w=task.class_weights.astype(np.float32),
-    )
+    return _rows_batch(task, task.splits[split])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from .config import METHOD_AUGMENTATION, RunConfig
+from .config import METHOD_AUGMENTATION, METHODS, RunConfig
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .metrics import evaluate_model
@@ -72,9 +72,10 @@ _CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "p
 def read_cell(cell, path: Path) -> tuple[str, dict]:
     """(method, seed record) of the parsed JSON of the result cell at path.
 
-    DataError naming path if a field is missing or mistyped, or if the
-    cell's method and seed do not match its place,
-    results/<method>/seed_<seed>.json.
+    DataError naming path if a field is missing or mistyped, if the cell's
+    method and seed do not match its place, results/<method>/seed_<seed>.json,
+    if the method is not one of METHODS, or if the cell holds no per-task
+    score or a score outside [0, 1] (json.loads parses NaN and Infinity).
     """
     cell = cell if isinstance(cell, dict) else {}
     bad = [k for k, tp in _CELL_FIELDS.items()
@@ -84,6 +85,11 @@ def read_cell(cell, path: Path) -> tuple[str, dict]:
     method, seed = cell["method"], cell["seed"]
     if (path.parent.name, path.name) != (method, f"seed_{seed}.json"):
         raise DataError(f"{path}: result cell of method {method!r}, seed {seed} is misfiled")
+    if method not in METHODS:
+        raise DataError(f"{path}: result cell of unknown method {method!r}")
+    scores = [cell["average_macro_f1"], *cell["per_task"].values()]
+    if not cell["per_task"] or not all(0 <= v <= 1 for v in scores):  # NaN compares False
+        raise DataError(f"{path}: result cell needs per-task and average scores in [0, 1]")
     return method, {k: cell[k] for k in ("seed", "average_macro_f1", "per_task")}
 
 

@@ -2,11 +2,13 @@
 
 A model is a "neck" of Linear-PReLU layers followed by a linear classification
 head sized to the largest class count across tasks. A model's parameters are
-one flat vector with named views into it (ModelParams). Everything here is a
-pure function over such parameters: forward pass, weighted cross-entropy,
-exact reverse-mode gradients, exact Hessian-vector products, and
-meta-gradients obtained by backpropagating through an unrolled inner-loop SGD
-trajectory.
+one flat vector and its Layout (ModelParams). Gradients, Hessian-vector
+products, HVP directions and meta-gradients are plain vectors in that same
+layout; `Layout.views` is the one place that names their slices. Everything
+here is a pure function over such vectors: forward pass, weighted
+cross-entropy, exact reverse-mode gradients, exact Hessian-vector products,
+and meta-gradients obtained by backpropagating through an unrolled
+inner-loop SGD trajectory.
 
 Gradients (`backward`) and Hessian-vector products (`loss_hvp`) come from one
 reverse pass (`_backprop`); the HVP adds Pearlmutter's R-operator tangent
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +35,6 @@ EXACT = "exact"
 GRAD_MODES = (FIRST_ORDER, EXACT)
 
 PRELU_INIT_SLOPE = 0.25
-
-
-@dataclass
-class LayerParams:
-    weight: np.ndarray  # [out, in]
-    bias: np.ndarray  # [out]
-    slope: np.ndarray  # [out], per-unit PReLU slope
-
-
-@dataclass
-class HeadParams:
-    weight: np.ndarray  # [n_classes, in]
-    bias: np.ndarray  # [n_classes]
 
 
 @dataclass(frozen=True)
@@ -65,6 +54,13 @@ class Layout:
         """Length of the neck's prefix of the vector; the head follows it."""
         return self.spans[-2][0]
 
+    def views(self, flat: np.ndarray):
+        """(layers, head) of a vector in this layout: layers[k] is
+        [weight [out, in], bias [out], slope [out]] of neck layer k, and head
+        is [weight [n_classes, in], bias [n_classes]]. All share flat's memory."""
+        arrays = [flat[a:b].reshape(shape) for a, b, shape in self.spans]
+        return [arrays[i : i + 3] for i in range(0, len(arrays) - 2, 3)], arrays[-2:]
+
 
 @functools.lru_cache(maxsize=256)
 def layout_for(dims: tuple[int, ...]) -> Layout:
@@ -82,34 +78,21 @@ def layout_for(dims: tuple[int, ...]) -> Layout:
 
 @dataclass
 class ModelParams:
-    """Neck + head parameters: one contiguous vector and named views into it.
+    """A model's parameters: one contiguous vector and its layout.
 
-    `layers[k].weight/bias/slope` and `head.weight/bias` share memory with
-    `flat`, in the dtype the vector was built with. Gradients, Hessian-vector
-    products and optimizer moments use the same layout, so every update is
-    one whole-vector operation.
+    Gradients, Hessian-vector products and optimizer moments are vectors in
+    the same layout, so every update is one whole-vector operation.
     """
 
     flat: np.ndarray
     layout: Layout
-    layers: list[LayerParams] = field(init=False, repr=False)
-    head: HeadParams = field(init=False, repr=False)
-
-    def __post_init__(self):
-        views = [self.flat[a:b].reshape(shape) for a, b, shape in self.layout.spans]
-        self.layers = [LayerParams(*views[i : i + 3]) for i in range(0, len(views) - 2, 3)]
-        self.head = HeadParams(*views[-2:])
 
     def like(self, flat: np.ndarray) -> ModelParams:
-        """Another vector viewed through this model's layout."""
+        """Another vector in this model's layout, as parameters."""
         return ModelParams(flat, self.layout)
 
     def copy(self) -> ModelParams:
         return self.like(self.flat.copy())
-
-    @property
-    def n_classes(self) -> int:
-        return self.layout.dims[-1]
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -128,41 +111,42 @@ def init_params(
     dims is (input_dim, *hidden, n_classes), as in layout_for.
     """
     layout = layout_for(dims)
-    params = ModelParams(np.zeros(layout.size, dtype=dtype), layout)
+    flat = np.zeros(layout.size, dtype=dtype)
+    layers, (head_weight, _) = layout.views(flat)
 
     def glorot(weight: np.ndarray) -> None:
         fan_out, fan_in = weight.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weight[...] = rng.uniform(-limit, limit, size=weight.shape)
 
-    for layer in params.layers:
-        glorot(layer.weight)
-        layer.slope[...] = PRELU_INIT_SLOPE
-    glorot(params.head.weight)
-    return params
+    for weight, _, slope in layers:
+        glorot(weight)
+        slope[...] = PRELU_INIT_SLOPE
+    glorot(head_weight)
+    return ModelParams(flat, layout)
 
 
-def _forward_cache(params: ModelParams, x: np.ndarray):
+def _forward_cache(layers, head, x: np.ndarray):
     """Returns (logits, hs, poss, negs): hs[k] is the input to layer k; for its
     preactivation z, poss[k] = z > 0 and negs[k] = minimum(z, 0)."""
     hs, poss, negs = [x], [], []
     h = x
-    for layer in params.layers:
-        z = h @ layer.weight.T
-        z += layer.bias
+    for weight, bias, slope in layers:
+        z = h @ weight.T
+        z += bias
         poss.append(z > 0)
         negs.append(np.minimum(z, 0))
         h = np.maximum(z, 0, out=z)
-        h += layer.slope * negs[-1]
+        h += slope * negs[-1]
         hs.append(h)
-    logits = h @ params.head.weight.T
-    logits += params.head.bias
+    logits = h @ head[0].T
+    logits += head[1]
     return logits, hs, poss, negs
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Logits [B, n_classes] for features [B, D]."""
-    return _forward_cache(params, x)[0]
+    return _forward_cache(*params.layout.views(params.flat), x)[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -188,9 +172,9 @@ def weighted_ce(
 # ---------------------------------------------------------------------------
 
 
-def _prelu_derivative(layer: LayerParams, pos: np.ndarray):
+def _prelu_derivative(slope: np.ndarray, pos: np.ndarray):
     """dh/dz from pos = z > 0. At z == 0 the slope applies, as it does below zero."""
-    return pos + layer.slope * ~pos
+    return pos + slope * ~pos
 
 
 def _tangent_weight_grad(r_d, h, d, r_h, out) -> None:
@@ -201,7 +185,7 @@ def _tangent_weight_grad(r_d, h, d, r_h, out) -> None:
         np.add(r_d.T @ h, d.T @ r_h, out=out)
 
 
-def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
+def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     """One forward and one reverse pass of the batch loss at params.
 
     Returns (loss, out): out is the gradient or, given a direction, the
@@ -212,65 +196,67 @@ def _backprop(params: ModelParams, batch, direction: ModelParams | None = None):
     everywhere; the slope parameter's own tangent still flows.
     """
     x, y, w = batch.x, batch.y, batch.w
-    logits, hs, poss, negs = _forward_cache(params, x)
+    layers, (head_w, head_b) = params.layout.views(params.flat)
+    logits, hs, poss, negs = _forward_cache(layers, (head_w, head_b), x)
     loss, ls = _loss_and_log_probs(logits, y, w)
     p = np.exp(ls)
     weight_mass = y @ w  # [B]; total class weight carried by each row's labels
     delta = (weight_mass[:, None] * p - y * w[None, :]) / x.shape[0]  # dLoss/dlogits
-    out = params.like(np.empty_like(params.flat))
-    head = params.head
+    out = np.empty_like(params.flat)
+    out_layers, (out_head_w, out_head_b) = params.layout.views(out)
 
     if direction is None:
-        np.matmul(delta.T, hs[-1], out=out.head.weight)
-        delta.sum(axis=0, out=out.head.bias)
+        np.matmul(delta.T, hs[-1], out=out_head_w)
+        delta.sum(axis=0, out=out_head_b)
     else:
+        v_layers, (v_head_w, v_head_b) = params.layout.views(direction)
         # Tangent forward pass. The input's tangent is zero (None in r_hs), so
         # its products are skipped.
-        acts = [_prelu_derivative(layer, pos) for layer, pos in zip(params.layers, poss)]
+        acts = [_prelu_derivative(slope, pos) for (_, _, slope), pos in zip(layers, poss)]
         r_hs, r_zs = [None], []
-        for layer, v, act, neg, h_in in zip(params.layers, direction.layers, acts, negs, hs):
-            rz = h_in @ v.weight.T
+        for k, (v_w, v_b, v_s) in enumerate(v_layers):
+            rz = hs[k] @ v_w.T
             if r_hs[-1] is not None:
-                rz += r_hs[-1] @ layer.weight.T
-            rz += v.bias
+                rz += r_hs[-1] @ layers[k][0].T
+            rz += v_b
             r_zs.append(rz)
-            r_hs.append(act * rz + neg * v.slope)
-        r_logits = hs[-1] @ direction.head.weight.T
+            r_hs.append(acts[k] * rz + negs[k] * v_s)
+        r_logits = hs[-1] @ v_head_w.T
         if r_hs[-1] is not None:
-            r_logits += r_hs[-1] @ head.weight.T
-        r_logits += direction.head.bias
+            r_logits += r_hs[-1] @ head_w.T
+        r_logits += v_head_b
         # Tangent of dLoss/dlogits. With labels and weights fixed, only the
         # softmax output moves: Rp = p * (Ru - <p, Ru>).
         rp = p * (r_logits - (p * r_logits).sum(axis=1, keepdims=True))
         r_delta = (weight_mass[:, None] * rp) / x.shape[0]
-        _tangent_weight_grad(r_delta, hs[-1], delta, r_hs[-1], out.head.weight)
-        r_delta.sum(axis=0, out=out.head.bias)
-        rd = r_delta @ head.weight + delta @ direction.head.weight
-    d = delta @ head.weight
+        _tangent_weight_grad(r_delta, hs[-1], delta, r_hs[-1], out_head_w)
+        r_delta.sum(axis=0, out=out_head_b)
+        rd = r_delta @ head_w + delta @ v_head_w
+    d = delta @ head_w
 
-    for k in range(len(params.layers) - 1, -1, -1):
-        layer, o = params.layers[k], out.layers[k]
+    for k in range(len(layers) - 1, -1, -1):
+        (weight, _, slope), (o_w, o_b, o_s) = layers[k], out_layers[k]
         pos = poss[k]
-        act = _prelu_derivative(layer, pos) if direction is None else acts[k]
+        act = _prelu_derivative(slope, pos) if direction is None else acts[k]
         dz = d * act
         if direction is None:
-            (d * negs[k]).sum(axis=0, out=o.slope)
-            np.matmul(dz.T, hs[k], out=o.weight)
-            dz.sum(axis=0, out=o.bias)
+            (d * negs[k]).sum(axis=0, out=o_s)
+            np.matmul(dz.T, hs[k], out=o_w)
+            dz.sum(axis=0, out=o_b)
         else:
-            v = direction.layers[k]
-            r_dz = rd * act + d * (v.slope * ~pos)
-            (rd * negs[k] + d * (r_zs[k] * ~pos)).sum(axis=0, out=o.slope)
-            _tangent_weight_grad(r_dz, hs[k], dz, r_hs[k], o.weight)
-            r_dz.sum(axis=0, out=o.bias)
+            v_w, _, v_s = v_layers[k]
+            r_dz = rd * act + d * (v_s * ~pos)
+            (rd * negs[k] + d * (r_zs[k] * ~pos)).sum(axis=0, out=o_s)
+            _tangent_weight_grad(r_dz, hs[k], dz, r_hs[k], o_w)
+            r_dz.sum(axis=0, out=o_b)
             if k:
-                rd = r_dz @ layer.weight + dz @ v.weight
+                rd = r_dz @ weight + dz @ v_w
         if k:  # the adjoint of the input itself is never needed
-            d = dz @ layer.weight
+            d = dz @ weight
     return loss, out
 
 
-def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
+def backward(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     """Loss and exact gradients of weighted_ce(forward(x)) for every parameter.
 
     Returns (loss, grads) where grads is one vector in the params' layout,
@@ -280,8 +266,9 @@ def backward(params: ModelParams, batch) -> tuple[float, ModelParams]:
     return _backprop(params, batch)
 
 
-def loss_hvp(params: ModelParams, batch, direction: ModelParams) -> ModelParams:
-    """Exact Hessian-vector product of the batch loss at params."""
+def loss_hvp(params: ModelParams, batch, direction: np.ndarray) -> np.ndarray:
+    """Exact Hessian-vector product of the batch loss at params, for a
+    direction vector in the params' layout."""
     return _backprop(params, batch, direction)[1]
 
 
@@ -290,8 +277,8 @@ def loss_hvp(params: ModelParams, batch, direction: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def backprop_through_trace(grads: ModelParams, visited: list[ModelParams], support_batches,
-                           lr: float) -> ModelParams:
+def backprop_through_trace(grads: np.ndarray, visited: list[ModelParams], support_batches,
+                           lr: float) -> np.ndarray:
     """Pull query-loss gradients at the adapted parameters back to theta.
 
     visited is what inner_adapt returns: theta, then the parameters after
@@ -302,6 +289,5 @@ def backprop_through_trace(grads: ModelParams, visited: list[ModelParams], suppo
     """
     g = grads
     for params, batch in zip(reversed(visited[:-1]), reversed(support_batches)):
-        hv = loss_hvp(params, batch, g)
-        g = g.like(g.flat - lr * hv.flat)
+        g = g - lr * loss_hvp(params, batch, g)
     return g

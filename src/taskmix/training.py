@@ -135,7 +135,7 @@ def inner_adapt(params: ModelParams, support_batches, lr: float) -> list[ModelPa
     visited = [params]
     for batch in support_batches:
         _, grads = backward(visited[-1], batch)
-        visited.append(params.like(sgd_step(visited[-1].flat, grads.flat, lr)))
+        visited.append(params.like(sgd_step(visited[-1].flat, grads, lr)))
     return visited
 
 
@@ -150,17 +150,17 @@ def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
     """
     lr = cfg.meta.inner_lr
     visited = inner_adapt(theta, support, lr)
-    adapted = visited[-1]
-    exact = cfg.meta.grad_mode == EXACT
-    loss, grads = backward(adapted, query)
-    if exact:
-        grads = backprop_through_trace(grads, visited, support, lr)
+
+    def query_gradient(batch):
+        loss, grads = backward(visited[-1], batch)
+        if cfg.meta.grad_mode == EXACT:
+            grads = backprop_through_trace(grads, visited, support, lr)
+        return loss, grads
+
+    loss, grads = query_gradient(query)
     if metamix_rng is not None:
-        mixed = metamix_augment(query, cfg.mix, metamix_rng)
-        mixed_loss, mixed_grads = backward(adapted, mixed)
-        if exact:
-            mixed_grads = backprop_through_trace(mixed_grads, visited, support, lr)
-        grads = grads.like(0.5 * (grads.flat + mixed_grads.flat))
+        mixed_loss, mixed_grads = query_gradient(metamix_augment(query, cfg.mix, metamix_rng))
+        grads = 0.5 * (grads + mixed_grads)
         loss = 0.5 * (loss + mixed_loss)
     return loss, grads
 
@@ -203,7 +203,7 @@ def meta_step(
         metamix_rng = bundle.beta(f"metamix/{key}") if use_metamix else None
         loss, grads = unit_gradient(theta, support, query, cfg, metamix_rng)
         total_loss += loss
-        total_grads = grads.flat if total_grads is None else total_grads + grads.flat
+        total_grads = grads if total_grads is None else total_grads + grads
 
     lr = cosine_lr(step, cfg.schedule)
     adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)
@@ -256,7 +256,7 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
     def step(params, k):
         nonlocal adam_state
         loss, grads = backward(params, batch)
-        adam_state, flat = adam_step(adam_state, params.flat, grads.flat, lr)
+        adam_state, flat = adam_step(adam_state, params.flat, grads, lr)
         return params.like(flat), {"step": k, "lr": lr, "train_loss": loss}
 
     def evaluate(params):
@@ -321,8 +321,8 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tra
             loss, g = backward(task_model(vec, k), batch)
             total_loss += loss
             a, b = spans[k]
-            grads[a:b] = g.flat[n_neck:]
-            neck = g.flat[:n_neck]
+            grads[a:b] = g[n_neck:]
+            neck = g[:n_neck]
             grads[:n_neck] = grads[:n_neck] + neck if k else neck
         lr = cosine_lr(adam_state.t, cfg.schedule)
         adam_state, vec = adam_step(adam_state, vec, grads, lr)

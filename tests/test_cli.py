@@ -1,14 +1,16 @@
 """Command-line behavior: files written, exit codes, overrides, resume."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taskmix.cli import _resolve_config, build_parser, main
-from taskmix.config import RunConfig, to_dict
+from taskmix.config import RunConfig, from_dict, to_dict
 from taskmix.data import load_dataset, read_task_file, write_dataset, write_task_file
+from taskmix.evaluation import train_phase
 
 from util import tiny_config, tiny_dataset
 
@@ -118,6 +120,13 @@ def test_train_writes_model_and_history(tmp_path):
     assert "stopped_at" in summary
     saved = json.loads((out / "config.json").read_text())
     assert saved["method"] == "maml"
+    # model.json's arrays in layout order are the trained float32 vector, exactly
+    arrays = [layer[k] for layer in model["layers"] for k in ("weight", "bias", "slope")]
+    arrays += [model["head"]["weight"], model["head"]["bias"]]
+    saved_vector = np.concatenate([np.ravel(a) for a in arrays])
+    params = train_phase(load_dataset(manifest), "maml", from_dict(saved), summary["seed"]).params
+    assert params.flat.dtype == np.float32
+    assert np.array_equal(saved_vector, params.flat)
 
 
 def test_train_mtl_branch(tmp_path):
@@ -363,6 +372,55 @@ def test_experiment_resume_with_misfiled_cell_is_a_data_error(tmp_path, capsys):
     assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0,1")) == 3
     err = capsys.readouterr().err
     assert str(cells / "seed_1.json") in err and "misfiled" in err
+
+
+def write_cell(root: Path, place: str, text: str) -> Path:
+    cell = root / "results" / place
+    cell.parent.mkdir(parents=True, exist_ok=True)
+    cell.write_text(text)
+    return cell
+
+
+# json.loads parses NaN and Infinity, and json.dumps writes them back; an
+# integer too large for a float64 would overflow the report's mean
+@pytest.mark.parametrize("average, score", [
+    (math.nan, math.nan), (math.inf, 0.5), (0.5, -math.inf), (0.5, 1.5), (10**400, 0.5),
+], ids=["nan", "inf", "-inf", "above-1", "huge-int"])
+def test_report_with_score_outside_unit_interval_is_a_data_error(tmp_path, capsys, average,
+                                                                  score):
+    record = {"method": "vanilla", "seed": 0, "average_macro_f1": average, "per_task": {"t": score}}
+    cell = write_cell(tmp_path, "vanilla/seed_0.json", json.dumps(record))
+    assert main(["report", "--in", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(cell) in err and "[0, 1]" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("method, per_task, problem", [
+    ("protonet", {"t": 0.5}, "unknown method"),
+    ("vanilla", {}, "per-task"),
+], ids=["unknown-method", "no-per-task-score"])
+def test_report_with_unknown_method_or_no_scores_is_a_data_error(
+        tmp_path, capsys, method, per_task, problem):
+    record = {"method": method, "seed": 0, "average_macro_f1": 0.5, "per_task": per_task}
+    cell = write_cell(tmp_path, f"{method}/seed_0.json", json.dumps(record))
+    assert main(["report", "--in", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(cell) in err and problem in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_experiment_resume_with_non_finite_cell_is_a_data_error(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=37)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
+    cell = out / "results" / "vanilla" / "seed_0.json"
+    payload = json.loads(cell.read_text())
+    payload["average_macro_f1"] = math.nan
+    cell.write_text(json.dumps(payload))
+    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 3
+    assert str(cell) in capsys.readouterr().err
 
 
 def test_report_without_cells_is_a_data_error(tmp_path, capsys):

@@ -113,6 +113,16 @@ def test_task_file_error_cases(tmp_path):
         read_task_file(out_of_range)
 
 
+def test_task_file_with_more_classes_than_records_is_a_data_error(tmp_path):
+    # every class needs a train example, so C > n never holds for valid input;
+    # trusting a header's C = 2**32 - 1 would allocate class counts of that length
+    path = tmp_path / "classes.tmxf"
+    write_task_file(path, np.zeros((30, 3), dtype=np.float32), np.arange(30) % 2, 2**32 - 1)
+    with pytest.raises(DataError, match="header claims 4294967295 classes for 30 records") as err:
+        read_task_file(path)
+    assert str(path) in str(err.value)
+
+
 def test_magic_constants():
     assert MAGIC == b"TMXF"
     assert FORMAT_VERSION == 1

@@ -23,7 +23,7 @@ from taskmix.nn import (
 )
 from taskmix.training import inner_adapt, unit_gradient
 
-from util import fd_gradient, random_batch, rel_err, small_net, tiny_config, trees_equal
+from util import fd_gradient, random_batch, rel_err, same_params, small_net, tiny_config
 
 
 # (input, *hidden, classes) of the finite-difference checks: no hidden layer
@@ -61,10 +61,12 @@ def test_prelu_slope_applies_at_zero_preactivation():
 
     _, grads = backward(model, batch)
     dlogits = np.exp(logits[0]) / np.exp(logits[0]).sum() - batch.y[0]  # [-0.5, 0.5]
-    d_out = model.head.weight[:, 0] @ dlogits  # dL/d(PReLU output) = -1.5
-    assert grads.layers[0].bias[0] == pytest.approx(0.25 * d_out, rel=1e-12)
-    assert grads.layers[0].weight[0, 0] == pytest.approx(0.25 * d_out * x, rel=1e-12)
-    assert grads.layers[0].slope[0] == 0.0
+    head_weight = model.layout.views(model.flat)[1][0]
+    d_out = head_weight[:, 0] @ dlogits  # dL/d(PReLU output) = -1.5
+    [(weight, bias, slope)], _ = model.layout.views(grads)
+    assert bias[0] == pytest.approx(0.25 * d_out, rel=1e-12)
+    assert weight[0, 0] == pytest.approx(0.25 * d_out * x, rel=1e-12)
+    assert slope[0] == 0.0
 
 
 def test_forward_permutation_equivariant():
@@ -108,7 +110,7 @@ def test_backward_matches_finite_differences(dims):
             return weighted_ce(forward(p, batch.x), batch.y, batch.w)
 
         fd = fd_gradient(loss_at, params.flat.copy(), h=1e-6)
-        assert rel_err(grads.flat, fd) < 1e-5
+        assert rel_err(grads, fd) < 1e-5
 
 
 def test_backward_loss_matches_weighted_ce():
@@ -127,7 +129,7 @@ def test_backward_mean_reduction_duplication_invariant():
     loss1, g1 = backward(params, batch)
     loss3, g3 = backward(params, tripled)
     assert loss3 == pytest.approx(loss1, rel=1e-12)
-    assert np.allclose(g1.flat, g3.flat, rtol=1e-12, atol=1e-14)
+    assert np.allclose(g1, g3, rtol=1e-12, atol=1e-14)
 
 
 def test_backward_zero_weights_zero_gradients():
@@ -136,7 +138,7 @@ def test_backward_zero_weights_zero_gradients():
     zeroed = Batch(x=batch.x, y=batch.y, w=np.zeros_like(batch.w))
     loss, grads = backward(params, zeroed)
     assert loss == 0.0
-    assert np.all(grads.flat == 0.0)
+    assert np.all(grads == 0.0)
 
 
 @pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
@@ -147,15 +149,15 @@ def test_hvp_matches_fd_of_gradients(dims):
         rng = np.random.default_rng(seed)
         vec = params.flat.copy()
         direction = rng.standard_normal(vec.size)
-        hv = loss_hvp(params, batch, params.like(direction))
+        hv = loss_hvp(params, batch, direction)
 
         h = 1e-6
         up = params.like(vec + h * direction)
         dn = params.like(vec - h * direction)
         _, gu = backward(up, batch)
         _, gd = backward(dn, batch)
-        fd = (gu.flat - gd.flat) / (2.0 * h)
-        assert rel_err(hv.flat, fd) < 1e-5
+        fd = (gu - gd) / (2.0 * h)
+        assert rel_err(hv, fd) < 1e-5
 
 
 @pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
@@ -177,7 +179,7 @@ def test_meta_gradient_matches_fd_of_meta_objective(n_steps, dims):
             return weighted_ce(forward(adapted, query.x), query.y, query.w)
 
         fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
-        assert rel_err(exact.flat, fd) < 1e-4
+        assert rel_err(exact, fd) < 1e-4
 
 
 def test_meta_gradient_modes_coincide_without_inner_steps():
@@ -187,9 +189,9 @@ def test_meta_gradient_modes_coincide_without_inner_steps():
     exact_cfg = tiny_config(meta={"grad_mode": EXACT})
     loss_exact, g_exact = unit_gradient(theta, [], query, exact_cfg, None)
     assert loss_first == loss_exact
-    assert trees_equal(g_first, g_exact)
+    assert np.array_equal(g_first, g_exact)
     # both are the plain query gradient at theta
-    assert trees_equal(g_first, backward(theta, query)[1])
+    assert np.array_equal(g_first, backward(theta, query)[1])
 
 
 def test_trace_unroll_quadratic_closed_form(monkeypatch):
@@ -199,59 +201,61 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
     # 1.024. Verified against the trace unroll with the Hessian pinned.
     import taskmix.nn as nn_mod
 
-    monkeypatch.setattr(nn_mod, "loss_hvp", lambda p, b, d: d.like(2.0 * d.flat))
+    monkeypatch.setattr(nn_mod, "loss_hvp", lambda p, b, d: 2.0 * d)
 
     # head-only models: weight [[w]], bias [0]
-    theta = ModelParams(np.array([1.0, 0.0]), layout_for((1, 1)))
-    grads = ModelParams(np.array([1.6, 0.0]), layout_for((1, 1)))
+    layout = layout_for((1, 1))
+    theta = ModelParams(np.array([1.0, 0.0]), layout)
+    grads = np.array([1.6, 0.0])
     out1 = backprop_through_trace(grads, [theta] * 2, [None], 0.1)
-    assert out1.head.weight[0, 0] == pytest.approx(1.28, rel=1e-12)
+    assert layout.views(out1)[1][0][0, 0] == pytest.approx(1.28, rel=1e-12)
 
     out2 = backprop_through_trace(grads, [theta] * 3, [None] * 2, 0.1)
-    assert out2.head.weight[0, 0] == pytest.approx(1.024, rel=1e-12)
+    assert layout.views(out2)[1][0][0, 0] == pytest.approx(1.024, rel=1e-12)
 
 
 def test_init_params_shapes_and_constants():
     params = init_params((5, 4, 3, 2), np.random.default_rng(0))
-    assert [l.weight.shape for l in params.layers] == [(4, 5), (3, 4)]
-    assert params.head.weight.shape == (2, 3)
-    for layer in params.layers:
-        assert np.all(layer.bias == 0.0)
-        assert np.all(layer.slope == PRELU_INIT_SLOPE)
-    assert np.all(params.head.bias == 0.0)
+    layers, (head_weight, head_bias) = params.layout.views(params.flat)
+    assert [weight.shape for weight, _, _ in layers] == [(4, 5), (3, 4)]
+    assert head_weight.shape == (2, 3)
+    for _, bias, slope in layers:
+        assert np.all(bias == 0.0)
+        assert np.all(slope == PRELU_INIT_SLOPE)
+    assert np.all(head_bias == 0.0)
     limit = np.sqrt(6.0 / (5 + 4))
-    assert np.abs(params.layers[0].weight).max() <= limit
+    assert np.abs(layers[0][0]).max() <= limit
 
 
 def test_init_params_deterministic_per_seed():
     dims = (4, 3, 2)
     a = init_params(dims, np.random.default_rng(42))
     b = init_params(dims, np.random.default_rng(42))
-    assert trees_equal(a, b)
+    assert same_params(a, b)
     c = init_params(dims, np.random.default_rng(43))
-    assert not trees_equal(a, c)
+    assert not same_params(a, c)
 
 
-def test_tree_vector_roundtrip():
+def test_params_vector_roundtrip():
     params = small_net(seed=6, dims=(3, 5, 4))
     vec = params.flat.copy()
     back = params.like(vec)
-    assert trees_equal(params, back)
+    assert same_params(params, back)
 
 
 def test_views_share_the_flat_vector():
     params = small_net(seed=1, dims=(4, 3, 5, 2))
     doubled = params.like(2.0 * params.flat)
     assert isinstance(doubled, ModelParams)
-    assert np.array_equal(doubled.head.weight, 2.0 * params.head.weight)
+    layers, head = params.layout.views(params.flat)
+    assert np.array_equal(params.layout.views(doubled.flat)[1][0], 2.0 * head[0])
     # every named array is a view into the one vector, in layout order
-    views = [a for l in params.layers for a in (l.weight, l.bias, l.slope)]
-    views += [params.head.weight, params.head.bias]
+    views = [a for layer in layers for a in layer] + head
     assert all(np.shares_memory(v, params.flat) for v in views)
     assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.flat)
     assert params.layout.size == params.flat.size == sum(v.size for v in views)
     params.flat[-1] = 7.0
-    assert params.head.bias[-1] == 7.0
+    assert head[1][-1] == 7.0
     # the layout is computed once per geometry and shared
     assert small_net(seed=2, dims=(4, 3, 5, 2)).layout is params.layout
 
@@ -259,5 +263,5 @@ def test_views_share_the_flat_vector():
 def test_all_finite_flag():
     params = small_net(seed=5)
     assert params.all_finite()
-    params.head.bias[0] = np.inf
+    params.layout.views(params.flat)[1][1][0] = np.inf
     assert not params.all_finite()

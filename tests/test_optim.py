@@ -38,12 +38,10 @@ def test_sgd_linear_in_gradients():
     assert np.allclose(combined, chained, rtol=1e-12, atol=1e-15)
 
 
-def test_sgd_applies_to_model_trees():
+def test_sgd_applies_to_model_vectors():
     params = small_net(seed=0)
-    moved = params.like(sgd_step(params.flat, params.flat, 1.0))  # p - p = 0
-    assert all(np.all(leaf == 0.0) for leaf in
-               [moved.head.weight, moved.head.bias] +
-               [a for l in moved.layers for a in (l.weight, l.bias, l.slope)])
+    moved = sgd_step(params.flat, params.flat, 1.0)  # p - p = 0
+    assert all(np.all(leaf == 0.0) for leaf in _leaves(params.layout, moved))
 
 
 def test_adam_first_step_size_is_lr():
@@ -89,7 +87,7 @@ def test_adam_large_eps_behaves_like_scaled_sgd(monkeypatch):
     assert np.allclose(adam_out, sgd_out, rtol=0, atol=1e-6)
 
 
-def test_adam_state_trees_match_params():
+def test_adam_state_vectors_match_params():
     params = small_net(seed=2)
     state = AdamState.init(params.flat)
     new_state, out = adam_step(state, params.flat, params.flat, lr=0.01)
@@ -112,39 +110,40 @@ def _reference_adam(m, v, t, leaves, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     return m, v, t, new
 
 
-def _leaves(params):
-    return [a for l in params.layers for a in (l.weight, l.bias, l.slope)] + [
-        params.head.weight, params.head.bias
-    ]
+def _leaves(layout, flat):
+    # every named array of a vector in layout order: (weight, bias, slope)
+    # per neck layer, then the head's (weight, bias)
+    layers, head = layout.views(flat)
+    return [a for layer in layers for a in layer] + head
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flat_optimizers_match_per_array_reference(dtype):
     params = small_net(seed=4, dims=(4, 3, 5, 2), dtype=dtype)
     rng = np.random.default_rng(11)
-    grads = [params.like(rng.standard_normal(params.flat.size).astype(dtype))
-             for _ in range(5)]
+    layout = params.layout
+    grads = [rng.standard_normal(params.flat.size).astype(dtype) for _ in range(5)]
 
     # SGD
-    cur, ref = params.flat, [a.copy() for a in _leaves(params)]
+    cur, ref = params.flat, [a.copy() for a in _leaves(layout, params.flat)]
     for g in grads:
-        cur = sgd_step(cur, g.flat, 0.05)
-        ref = _reference_sgd(ref, _leaves(g), 0.05)
+        cur = sgd_step(cur, g, 0.05)
+        ref = _reference_sgd(ref, _leaves(layout, g), 0.05)
         assert cur.dtype == dtype
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(params.like(cur)), ref))
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, cur), ref))
 
     # Adam
     state, cur = AdamState.init(params.flat), params.flat
-    m = [np.zeros_like(a) for a in _leaves(params)]
-    v = [np.zeros_like(a) for a in _leaves(params)]
-    t, ref = 0, [a.copy() for a in _leaves(params)]
+    m = [np.zeros_like(a) for a in _leaves(layout, params.flat)]
+    v = [np.zeros_like(a) for a in _leaves(layout, params.flat)]
+    t, ref = 0, [a.copy() for a in _leaves(layout, params.flat)]
     for g in grads:
-        state, cur = adam_step(state, cur, g.flat, 0.01)
-        m, v, t, ref = _reference_adam(m, v, t, ref, _leaves(g), 0.01)
+        state, cur = adam_step(state, cur, g, 0.01)
+        m, v, t, ref = _reference_adam(m, v, t, ref, _leaves(layout, g), 0.01)
         assert cur.dtype == state.m.dtype == state.v.dtype == dtype
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(params.like(cur)), ref))
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(params.like(state.m)), m))
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(params.like(state.v)), v))
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, cur), ref))
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, state.m), m))
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, state.v), v))
     assert state.t == t == 5
 
 
@@ -200,12 +199,13 @@ def test_early_stopper_snapshot_owns_its_views():
     before = live.flat.copy()
     stopper.update(1.0, 0, live)
     live.flat[:] = -1.0
-    live.head.weight[...] = 9.0
+    live.layout.views(live.flat)[1][0][...] = 9.0
     best = stopper.best_params
     assert np.array_equal(best.flat, before)
     assert not np.shares_memory(best.flat, live.flat)
-    assert all(np.shares_memory(a, best.flat) for a in _leaves(best))
-    assert np.array_equal(np.concatenate([a.ravel() for a in _leaves(best)]), before)
+    leaves = _leaves(best.layout, best.flat)
+    assert all(np.shares_memory(a, best.flat) for a in leaves)
+    assert np.array_equal(np.concatenate([a.ravel() for a in leaves]), before)
 
 
 def test_early_stopper_maximize():

@@ -95,6 +95,6 @@ def tiny_config(**sections) -> RunConfig:
     return cfg
 
 
-def trees_equal(a, b) -> bool:
+def same_params(a, b) -> bool:
     """Same layout and bit-identical parameter vectors (for ModelParams)."""
     return a.layout == b.layout and np.array_equal(a.flat, b.flat)
