@@ -80,7 +80,7 @@ class RunConfig:
     out: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
     meta: MetaConfig = field(default_factory=MetaConfig)
-    schedule: Schedule = field(default_factory=lambda: Schedule(lr_max=0.001))
+    schedule: Schedule = field(default_factory=Schedule)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     mix: MixConfig = field(default_factory=MixConfig)
 

@@ -51,7 +51,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 @dataclass
 class Schedule:
-    lr_max: float
+    lr_max: float = 0.001
     lr_min: float = 0.0
     max_step: int = 5000
 

@@ -11,7 +11,8 @@ plug in here:
   * metamix: each task also contributes the gradient of a mixed query
     batch; the task's meta-loss is the mean of the plain and mixed query
     losses, so a coefficient of 1 reproduces the unaugmented trajectory
-    bit for bit;
+    bit for bit. The pullback is linear, so under exact the averaged query
+    gradient is pulled back once per unit;
   * taskmix: the drawn batches of random task pairs are blended into
     synthetic tasks appended to the step's task set, each adapted and
     differentiated exactly like a real task.
@@ -143,25 +144,26 @@ def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
     """Meta-loss and meta-gradient of one task unit (real or synthetic).
 
     Adapts theta on the support batches at cfg.meta.inner_lr, then takes the
-    query-loss gradient at the adapted parameters: as is under first_order,
-    pulled back through the visited parameters under exact. With a
-    metamix_rng, the loss and gradient are the mean of the plain and a
-    mixed query's.
+    query-loss gradient at the adapted parameters. With a metamix_rng, the
+    loss and gradient are the mean of the plain and a mixed query's, both
+    taken at the adapted parameters. The gradient is used as is under
+    first_order; under exact it is pulled back through the visited
+    parameters, once, after the averaging: the pullback is linear, so this
+    equals the mean of the two pulled-back gradients up to rounding.
     """
     lr = cfg.meta.inner_lr
     visited = inner_adapt(theta, support, lr)
-
-    def query_gradient(batch):
-        loss, grads = backward(visited[-1], batch)
-        if cfg.meta.grad_mode == EXACT:
-            grads = backprop_through_trace(grads, visited, support, lr)
-        return loss, grads
-
-    loss, grads = query_gradient(query)
+    loss, grads = backward(visited[-1], query)
     if metamix_rng is not None:
-        mixed_loss, mixed_grads = query_gradient(metamix_augment(query, cfg.mix, metamix_rng))
-        grads = 0.5 * (grads + mixed_grads)
+        # the mixed batch is not kept and the average is taken in place, since
+        # the pullback below sets the unit's peak memory
+        mixed_loss, mixed_grads = backward(visited[-1],
+                                           metamix_augment(query, cfg.mix, metamix_rng))
         loss = 0.5 * (loss + mixed_loss)
+        grads += mixed_grads
+        grads *= 0.5
+    if cfg.meta.grad_mode == EXACT:
+        grads = backprop_through_trace(grads, visited, support, lr)
     return loss, grads
 
 

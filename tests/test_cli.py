@@ -129,6 +129,26 @@ def test_train_writes_model_and_history(tmp_path):
     assert np.array_equal(saved_vector, params.flat)
 
 
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_partial_schedule_section_fills_in_defaults(tmp_path, source):
+    manifest = write_tiny_dataset(tmp_path, seed=33)
+    data = to_dict(tiny_config())
+    if source == "file":
+        data["schedule"] = {"max_step": 8}
+        flags = []
+    else:
+        del data["schedule"]
+        flags = ["--schedule.max_step", "8"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--dataset", str(manifest),
+                 "--out", str(out), "--method", "maml", *flags])
+    assert code == 0
+    saved = json.loads((out / "config.json").read_text())
+    assert saved["schedule"] == {"lr_max": 0.001, "lr_min": 0.0, "max_step": 8}
+
+
 def test_train_mtl_branch(tmp_path):
     manifest = write_tiny_dataset(tmp_path, seed=31)
     cfg = write_config(tmp_path)

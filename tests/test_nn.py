@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from taskmix.data import Batch, one_hot
+from taskmix.mixing import metamix_augment
 from taskmix.nn import (
     EXACT,
     PRELU_INIT_SLOPE,
@@ -180,6 +181,49 @@ def test_meta_gradient_matches_fd_of_meta_objective(n_steps, dims):
 
         fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
         assert rel_err(exact, fd) < 1e-4
+
+
+@pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_exact_metamix_gradient_matches_fd_of_mean_meta_objective(n_steps, dims):
+    inner_lr = 0.05
+    cfg = tiny_config(meta={"inner_lr": inner_lr, "grad_mode": EXACT,
+                            "augmentation": "metamix"})
+    c = dims[-1]
+    for seed in (0, 1, 2):
+        theta = small_net(seed, dims=dims)
+        support = [random_batch(700 + 10 * seed + k, 8, 4, c) for k in range(n_steps)]
+        query = random_batch(900 + seed, 8, 4, c)
+
+        _, exact = unit_gradient(theta, support, query, cfg, np.random.default_rng(seed))
+        # the same mixed batch, drawn from a twin generator
+        mixed = metamix_augment(query, cfg.mix, np.random.default_rng(seed))
+
+        def meta_objective(vec):
+            adapted = inner_adapt(theta.like(vec), support, inner_lr)[-1]
+            return 0.5 * sum(weighted_ce(forward(adapted, b.x), b.y, b.w) for b in (query, mixed))
+
+        fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
+        assert rel_err(exact, fd) < 1e-4
+
+
+def test_exact_metamix_pulls_back_once(monkeypatch):
+    # one pullback of the averaged query gradient: inner_steps HVPs per unit
+    import taskmix.nn as nn_mod
+
+    calls = []
+    real_hvp = nn_mod.loss_hvp
+
+    def counted_hvp(params, batch, direction):
+        calls.append(direction)
+        return real_hvp(params, batch, direction)
+
+    monkeypatch.setattr(nn_mod, "loss_hvp", counted_hvp)
+    cfg = tiny_config(meta={"inner_steps": 3, "grad_mode": EXACT, "augmentation": "metamix"})
+    theta = small_net(seed=3)
+    support = [random_batch(60 + k, 8, 4, 2) for k in range(3)]
+    unit_gradient(theta, support, random_batch(66, 8, 4, 2), cfg, np.random.default_rng(0))
+    assert len(calls) == cfg.meta.inner_steps
 
 
 def test_meta_gradient_modes_coincide_without_inner_steps():

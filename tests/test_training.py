@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from taskmix import mixing
 from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, sample_batch
 from taskmix.errors import TrainingDivergedError
 from taskmix.nn import backward
@@ -126,6 +127,18 @@ def test_taskmix_changes_units_not_outer_steps():
     assert stats_a["step"] == stats_b["step"] == 0
     # the loss average runs over T + N units under taskmix
     assert stats_a["mean_task_loss"] != stats_b["mean_task_loss"]
+
+
+def test_exact_metamix_with_unit_coefficient_is_plain_exact(monkeypatch):
+    # the mixed batch is the query itself, so the averaged gradient is the
+    # plain one exactly and so is its pullback
+    ds = tiny_dataset(seed=12)
+    plain = meta_train(ds, tiny_config(meta={"grad_mode": "exact"}), seed=0)
+    monkeypatch.setattr(mixing, "sample_beta", lambda eta, rng: 1.0)
+    pinned_cfg = tiny_config(meta={"grad_mode": "exact", "augmentation": "metamix"})
+    pinned = meta_train(ds, pinned_cfg, seed=0)
+    assert same_params(pinned.params, plain.params)
+    assert pinned.history == plain.history
 
 
 def test_meta_train_zero_steps_returns_init():
