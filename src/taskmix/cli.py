@@ -194,6 +194,15 @@ def _publish_report(out: Path, summaries) -> None:
     print(text, end="")
 
 
+def _reject_repeats(name: str, values) -> None:
+    """A matrix runs each method and seed once, so `report` can rebuild it."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{name} lists {value!r} more than once")
+        seen.add(value)
+
+
 def cmd_experiment(args) -> int:
     if args.methods:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -204,7 +213,9 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    _reject_repeats("--methods", methods)
     cfg = _resolve_config(args, methods)
+    _reject_repeats("seeds", cfg.seeds)
     dataset = load_dataset(_require(cfg, "dataset"))
     out = Path(_require(cfg, "out"))
     results = out / "results"
@@ -225,7 +236,8 @@ def cmd_experiment(args) -> int:
                     raise
                 _write_json(cell, {"method": method, **record})
             records.append(record)
-        summaries.append(summarize(method, records))
+        # in seed order, as `report` reads them back from the cells
+        summaries.append(summarize(method, sorted(records, key=lambda r: r["seed"])))
     _write_json(out / "config.json", to_dict(cfg))
     _publish_report(out, summaries)
     return 0

@@ -11,6 +11,7 @@ command line exposes as override flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -93,8 +94,8 @@ class RunConfig:
             if h < 1:
                 raise ConfigError(f"model.hidden entries must be >= 1, got {h}")
         m = self.meta
-        if m.inner_lr <= 0:
-            raise ConfigError(f"meta.inner_lr must be positive, got {m.inner_lr}")
+        if not (math.isfinite(m.inner_lr) and m.inner_lr > 0):
+            raise ConfigError(f"meta.inner_lr must be positive and finite, got {m.inner_lr}")
         if m.inner_steps < 0:
             raise ConfigError(f"meta.inner_steps must be >= 0, got {m.inner_steps}")
         if m.batch_size < 1:
@@ -114,8 +115,8 @@ class RunConfig:
         if m.patience < 1:
             raise ConfigError(f"meta.patience must be >= 1, got {m.patience}")
         f = self.finetune
-        if f.lr <= 0:
-            raise ConfigError(f"finetune.lr must be positive, got {f.lr}")
+        if not (math.isfinite(f.lr) and f.lr > 0):
+            raise ConfigError(f"finetune.lr must be positive and finite, got {f.lr}")
         if f.max_steps < 0:
             raise ConfigError(f"finetune.max_steps must be >= 0, got {f.max_steps}")
         if f.eval_every < 1:

@@ -56,11 +56,19 @@ class Task:
 
 @dataclass
 class Batch:
-    """One sampled training unit: features, soft labels, class weights."""
+    """One sampled training unit: features, soft labels, class weights.
+
+    A stack of units carries leading unit axes on all three arrays, e.g.
+    x [G, B, D], y [G, B, C_max] and w [G, C_max].
+    """
 
     x: np.ndarray  # [B, D]
     y: np.ndarray  # [B, C_max], rows sum to 1
     w: np.ndarray  # [C_max]
+
+    def units(self, index) -> Batch:
+        """Unit `index` (an int) or units (a slice) of a stack; views, not copies."""
+        return Batch(self.x[index], self.y[index], self.w[index])
 
 
 @dataclass

@@ -2,12 +2,14 @@
 
 Two uses share the same primitive mix(a, b, lam) = lam*a + (1-lam)*b:
 
-  * metamix_augment blends a task's query batch with a shuffled copy of
+  * metamix_augment blends each task's query batch with a shuffled copy of
     itself, giving each task an extra smoothed gradient term;
   * taskmix_synthesize blends the support/query batches of two randomly
-    chosen training tasks into a synthetic task, a (support batches, query
-    batch) pair shaped like a real task's, widening the task distribution
-    the learner adapts to.
+    chosen training tasks into a synthetic task shaped like a real task's,
+    widening the task distribution the learner adapts to.
+
+Both work on stacks of task units (a Batch with a leading unit axis, as
+`nn` takes them) and write each unit's mix into one new stack.
 
 Mixing coefficients are Beta(eta, eta) draws. Sampling goes through
 Marsaglia-Tsang gamma generation so coefficient streams are fully owned by
@@ -38,9 +40,13 @@ class MixConfig:
     eta: float = 0.5
     n_synthetic: int | None = None
 
+    def synthetic_count(self, n_tasks: int) -> int:
+        """Synthetic tasks per outer step beside n_tasks real ones."""
+        return n_tasks if self.n_synthetic is None else int(self.n_synthetic)
+
     def validate(self) -> None:
-        if not (self.eta > 0):
-            raise ConfigError(f"mix.eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"mix.eta must be positive and finite, got {self.eta}")
         if self.n_synthetic is not None and self.n_synthetic < 0:
             raise ConfigError(f"mix.n_synthetic must be >= 0, got {self.n_synthetic}")
 
@@ -87,63 +93,70 @@ def sample_beta(eta: float, rng: np.random.Generator) -> float:
     return 0.5 * (1.0 + math.tanh(0.5 * (log_g1 - log_g2)))
 
 
-def mix_arrays(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """lam*a + (1-lam)*b with exact endpoints.
+def mix_arrays(a: np.ndarray, b: np.ndarray, lam: float, out=None) -> np.ndarray:
+    """lam*a + (1-lam)*b with exact endpoints, written into out if given.
 
     Written as b + lam*(a - b) so lam=0 reproduces b bit for bit and mixing
     an array with itself is the identity; lam=1 is special-cased because
     b + (a - b) re-rounds.
     """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     if lam == 1.0:
-        return a.copy()
-    return b + lam * (a - b)
+        np.copyto(out, a)
+    else:
+        np.subtract(a, b, out=out)
+        out *= lam
+        out += b
+    return out
 
 
-def mix_batches(a: Batch, b: Batch, lam: float) -> Batch:
-    """Features, soft labels, and class weights all mixed with the same lam."""
-    return Batch(
-        x=mix_arrays(a.x, b.x, lam),
-        y=mix_arrays(a.y, b.y, lam),
-        w=mix_arrays(a.w, b.w, lam),
-    )
+def mix_batches(a: Batch, b: Batch, lam: float, out: Batch | None = None) -> Batch:
+    """Features, soft labels, and class weights all mixed with the same lam,
+    written into out's arrays if given."""
+    slots = (None, None, None) if out is None else (out.x, out.y, out.w)
+    return Batch(*(mix_arrays(p, q, lam, o)
+                   for p, q, o in zip((a.x, a.y, a.w), (b.x, b.y, b.w), slots)))
 
 
-def metamix_augment(batch: Batch, cfg: MixConfig, rng: np.random.Generator) -> Batch:
-    """Blend a batch with a row-shuffled copy of itself.
+def metamix_augment(batch: Batch, cfg: MixConfig, rngs) -> Batch:
+    """Blend each unit of a stack of batches with a row-shuffled copy of itself.
 
-    One permutation and one coefficient per call, drawn in that order; the
-    weight vector is untouched since both operands share it. A single-row
-    batch can only pair with itself and comes back unchanged.
+    batch holds G units (x [G, B, D], y [G, B, C], w [G, C]) and rngs one
+    generator per unit. Each unit draws one permutation and one coefficient
+    from its own generator, in that order. The weight vectors are untouched
+    since both operands share them. A single-row batch can only pair with
+    itself and comes back unchanged.
     """
-    perm = rng.permutation(batch.x.shape[0])
-    lam = sample_beta(cfg.eta, rng)
-    partner = Batch(x=batch.x[perm], y=batch.y[perm], w=batch.w)
-    return mix_batches(batch, partner, lam)
-
-
-def taskmix_synthesize(
-    per_task: list[tuple[list[Batch], Batch]],
-    cfg: MixConfig,
-    rng: np.random.Generator,
-) -> list[tuple[list[Batch], Batch]]:
-    """Blend random pairs of this step's real task batches into new tasks.
-
-    per_task holds each real task's (support batches, query batch) for the
-    current outer step, and each synthetic task comes back in that same
-    shape. Every synthetic task draws an independent source pair i, j (a
-    task may pair with itself), then a single coefficient lam, and mixes
-    support-with-support (stepwise) and query-with-query. All draws come
-    from the one stream passed in, which nothing else consumes; a synthetic
-    count of zero therefore draws nothing and changes nothing.
-    """
-    n_syn = len(per_task) if cfg.n_synthetic is None else int(cfg.n_synthetic)
-    out = []
-    for _ in range(n_syn):
-        i = int(rng.integers(0, len(per_task)))
-        j = int(rng.integers(0, len(per_task)))
+    x, y = np.empty_like(batch.x), np.empty_like(batch.y)
+    for g, rng in enumerate(rngs):
+        perm = rng.permutation(batch.x.shape[1])
         lam = sample_beta(cfg.eta, rng)
-        support_i, query_i = per_task[i]
-        support_j, query_j = per_task[j]
-        support = [mix_batches(a, b, lam) for a, b in zip(support_i, support_j)]
-        out.append((support, mix_batches(query_i, query_j, lam)))
+        mix_arrays(batch.x[g], batch.x[g][perm], lam, out=x[g])
+        mix_arrays(batch.y[g], batch.y[g][perm], lam, out=y[g])
+    return Batch(x=x, y=y, w=batch.w)
+
+
+def taskmix_synthesize(episodes: Batch, count: int, cfg: MixConfig,
+                       rng: np.random.Generator) -> Batch:
+    """Blend random pairs of this step's real tasks into `count` new tasks.
+
+    episodes stacks every real task's batches of the current outer step:
+    x [T, S + 1, B, D] and y [T, S + 1, B, C] hold its S support batches and
+    its query batch, w [T, C] its class weights; the synthetic tasks come back
+    in one new stack of that shape with `count` units. Every synthetic task
+    draws an independent source pair i, j (a task may pair with itself),
+    then a single coefficient lam, and mixes every batch of task i with the
+    same batch of task j. All draws come from the one stream passed in,
+    which nothing else consumes, so calls for consecutive counts continue
+    one sequence; a count of zero draws nothing and changes nothing.
+    """
+    n_tasks = episodes.x.shape[0]
+    out = Batch(*(np.empty((count, *a.shape[1:]), a.dtype)
+                  for a in (episodes.x, episodes.y, episodes.w)))
+    for k in range(count):
+        i = int(rng.integers(0, n_tasks))
+        j = int(rng.integers(0, n_tasks))
+        lam = sample_beta(cfg.eta, rng)
+        mix_batches(episodes.units(i), episodes.units(j), lam, out=out.units(k))
     return out

@@ -15,6 +15,14 @@ reverse pass (`_backprop`); the HVP adds Pearlmutter's R-operator tangent
 terms to it. PReLU is h = max(z, 0) + slope * min(z, 0), and its derivative
 dh/dz is 1 where z > 0 and the slope elsewhere, z == 0 included.
 
+A unit axis. The passes and products here also take a stack of G models:
+parameters [G, P] with batches x [G, B, D], y [G, B, C], w [G, C], one model
+and one batch per unit. Slice g of each result is, bit for bit, what the unstacked
+call on slice g returns: every matmul is one BLAS call per slice, and every
+reduction runs over the same axis in the same order as unstacked. One call
+then carries G units' arrays through one set of numpy calls (see README
+"Parameter layout").
+
 Inputs are trusted, values and shapes alike: data is checked when it is read
 (`data.load_dataset`, which also makes every task's width the model's input
 width), and mixing only forms convex combinations of checked batches of one
@@ -57,8 +65,10 @@ class Layout:
     def views(self, flat: np.ndarray):
         """(layers, head) of a vector in this layout: layers[k] is
         [weight [out, in], bias [out], slope [out]] of neck layer k, and head
-        is [weight [n_classes, in], bias [n_classes]]. All share flat's memory."""
-        arrays = [flat[a:b].reshape(shape) for a, b, shape in self.spans]
+        is [weight [n_classes, in], bias [n_classes]]. All share flat's memory.
+        A stack of vectors [G, P] gives each array a leading unit axis."""
+        lead = flat.shape[:-1]
+        arrays = [flat[..., a:b].reshape(lead + shape) for a, b, shape in self.spans]
         return [arrays[i : i + 3] for i in range(0, len(arrays) - 2, 3)], arrays[-2:]
 
 
@@ -126,21 +136,26 @@ def init_params(
     return ModelParams(flat, layout)
 
 
+def _rows(vector: np.ndarray) -> np.ndarray:
+    """A per-unit vector [..., n] as one row [..., 1, n], to broadcast over a batch."""
+    return vector[..., None, :]
+
+
 def _forward_cache(layers, head, x: np.ndarray):
     """Returns (logits, hs, poss, negs): hs[k] is the input to layer k; for its
     preactivation z, poss[k] = z > 0 and negs[k] = minimum(z, 0)."""
     hs, poss, negs = [x], [], []
     h = x
     for weight, bias, slope in layers:
-        z = h @ weight.T
-        z += bias
+        z = h @ weight.mT
+        z += _rows(bias)
         poss.append(z > 0)
         negs.append(np.minimum(z, 0))
         h = np.maximum(z, 0, out=z)
-        h += slope * negs[-1]
+        h += _rows(slope) * negs[-1]
         hs.append(h)
-    logits = h @ head[0].T
-    logits += head[1]
+    logits = h @ head[0].mT
+    logits += _rows(head[1])
     return logits, hs, poss, negs
 
 
@@ -150,14 +165,16 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _loss_and_log_probs(logits, soft_labels, class_weights):
-    """(weighted cross-entropy, log softmax of the logits)."""
+    """(weighted cross-entropy, log softmax of the logits); the loss is a float,
+    or one float64 per unit [G] for a stack."""
     ls = _log_softmax(logits)
-    return float(-(soft_labels * ls * class_weights[None, :]).sum(axis=1).mean()), ls
+    loss = -(soft_labels * ls * _rows(class_weights)).sum(axis=-1).mean(axis=-1)
+    return (loss.astype(np.float64) if loss.ndim else float(loss)), ls
 
 
 def weighted_ce(
@@ -174,15 +191,17 @@ def weighted_ce(
 
 def _prelu_derivative(slope: np.ndarray, pos: np.ndarray):
     """dh/dz from pos = z > 0. At z == 0 the slope applies, as it does below zero."""
-    return pos + slope * ~pos
+    act = _rows(slope) * ~pos
+    act += pos
+    return act
 
 
 def _tangent_weight_grad(r_d, h, d, r_h, out) -> None:
     """out = r_d.T @ h + d.T @ r_h, a weight's HVP term; r_h None is a zero tangent."""
     if r_h is None:
-        np.matmul(r_d.T, h, out=out)
+        np.matmul(r_d.mT, h, out=out)
     else:
-        np.add(r_d.T @ h, d.T @ r_h, out=out)
+        np.add(r_d.mT @ h, d.mT @ r_h, out=out)
 
 
 def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
@@ -194,20 +213,24 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     run beside the reverse pass, which then skips the gradient itself. PReLU
     is piecewise linear, so the tangent of its derivative vanishes almost
     everywhere; the slope parameter's own tangent still flows.
+
+    With a unit axis (params [G, P], batch x [G, B, D]; see the module
+    docstring) loss is [G] and out is [G, P]; params may be a broadcast view.
     """
     x, y, w = batch.x, batch.y, batch.w
     layers, (head_w, head_b) = params.layout.views(params.flat)
     logits, hs, poss, negs = _forward_cache(layers, (head_w, head_b), x)
     loss, ls = _loss_and_log_probs(logits, y, w)
     p = np.exp(ls)
-    weight_mass = y @ w  # [B]; total class weight carried by each row's labels
-    delta = (weight_mass[:, None] * p - y * w[None, :]) / x.shape[0]  # dLoss/dlogits
-    out = np.empty_like(params.flat)
+    # [..., B, 1]: total class weight carried by each row's labels
+    weight_mass = y @ w[..., None]
+    delta = (weight_mass * p - y * _rows(w)) / x.shape[-2]  # dLoss/dlogits
+    out = np.empty(params.flat.shape, params.flat.dtype)
     out_layers, (out_head_w, out_head_b) = params.layout.views(out)
 
     if direction is None:
-        np.matmul(delta.T, hs[-1], out=out_head_w)
-        delta.sum(axis=0, out=out_head_b)
+        np.matmul(delta.mT, hs[-1], out=out_head_w)
+        delta.sum(axis=-2, out=out_head_b)
     else:
         v_layers, (v_head_w, v_head_b) = params.layout.views(direction)
         # Tangent forward pass. The input's tangent is zero (None in r_hs), so
@@ -215,40 +238,46 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
         acts = [_prelu_derivative(slope, pos) for (_, _, slope), pos in zip(layers, poss)]
         r_hs, r_zs = [None], []
         for k, (v_w, v_b, v_s) in enumerate(v_layers):
-            rz = hs[k] @ v_w.T
+            rz = hs[k] @ v_w.mT
             if r_hs[-1] is not None:
-                rz += r_hs[-1] @ layers[k][0].T
-            rz += v_b
+                rz += r_hs[-1] @ layers[k][0].mT
+            rz += _rows(v_b)
             r_zs.append(rz)
-            r_hs.append(acts[k] * rz + negs[k] * v_s)
-        r_logits = hs[-1] @ v_head_w.T
+            r_hs.append(acts[k] * rz + negs[k] * _rows(v_s))
+        r_logits = hs[-1] @ v_head_w.mT
         if r_hs[-1] is not None:
-            r_logits += r_hs[-1] @ head_w.T
-        r_logits += v_head_b
+            r_logits += r_hs[-1] @ head_w.mT
+        r_logits += _rows(v_head_b)
         # Tangent of dLoss/dlogits. With labels and weights fixed, only the
         # softmax output moves: Rp = p * (Ru - <p, Ru>).
-        rp = p * (r_logits - (p * r_logits).sum(axis=1, keepdims=True))
-        r_delta = (weight_mass[:, None] * rp) / x.shape[0]
+        rp = p * (r_logits - (p * r_logits).sum(axis=-1, keepdims=True))
+        r_delta = (weight_mass * rp) / x.shape[-2]
         _tangent_weight_grad(r_delta, hs[-1], delta, r_hs[-1], out_head_w)
-        r_delta.sum(axis=0, out=out_head_b)
+        r_delta.sum(axis=-2, out=out_head_b)
         rd = r_delta @ head_w + delta @ v_head_w
     d = delta @ head_w
+    # Each layer's cached arrays are dropped once its gradient is taken, and
+    # the gradient pass works in place, so a stack of units holds few
+    # activation-sized arrays at once.
+    del hs[-1]
 
     for k in range(len(layers) - 1, -1, -1):
         (weight, _, slope), (o_w, o_b, o_s) = layers[k], out_layers[k]
-        pos = poss[k]
-        act = _prelu_derivative(slope, pos) if direction is None else acts[k]
-        dz = d * act
+        h, pos, neg = hs.pop(), poss.pop(), negs.pop()
         if direction is None:
-            (d * negs[k]).sum(axis=0, out=o_s)
-            np.matmul(dz.T, hs[k], out=o_w)
-            dz.sum(axis=0, out=o_b)
+            dz = _prelu_derivative(slope, pos)
+            dz *= d
+            np.multiply(neg, d, out=neg).sum(axis=-2, out=o_s)
+            np.matmul(dz.mT, h, out=o_w)
+            dz.sum(axis=-2, out=o_b)
         else:
+            act = acts[k]
+            dz = d * act
             v_w, _, v_s = v_layers[k]
-            r_dz = rd * act + d * (v_s * ~pos)
-            (rd * negs[k] + d * (r_zs[k] * ~pos)).sum(axis=0, out=o_s)
-            _tangent_weight_grad(r_dz, hs[k], dz, r_hs[k], o_w)
-            r_dz.sum(axis=0, out=o_b)
+            r_dz = rd * act + d * (_rows(v_s) * ~pos)
+            (rd * neg + d * (r_zs[k] * ~pos)).sum(axis=-2, out=o_s)
+            _tangent_weight_grad(r_dz, h, dz, r_hs[k], o_w)
+            r_dz.sum(axis=-2, out=o_b)
             if k:
                 rd = r_dz @ weight + dz @ v_w
         if k:  # the adjoint of the input itself is never needed
@@ -261,7 +290,8 @@ def backward(params: ModelParams, batch) -> tuple[float, np.ndarray]:
 
     Returns (loss, grads) where grads is one vector in the params' layout,
     including per-unit PReLU slope gradients. Reduction is the mean over the
-    batch, so duplicating rows leaves gradients unchanged.
+    batch, so duplicating rows leaves gradients unchanged. A stack of G
+    models and batches gives G losses and G gradient vectors.
     """
     return _backprop(params, batch)
 
@@ -285,7 +315,8 @@ def backprop_through_trace(grads: np.ndarray, visited: list[ModelParams], suppor
     each SGD step on support_batches at lr, the adapted ones last. Each step
     theta_j = theta_{j-1} - lr * g(theta_{j-1}) contributes a Jacobian factor
     (I - lr * H_j); applying the factors in reverse order turns the gradient
-    at the adapted parameters into the exact meta-gradient at theta.
+    at the adapted parameters into the exact meta-gradient at theta. With a
+    unit axis, grads, visited and the batches are stacks of G units.
     """
     g = grads
     for params, batch in zip(reversed(visited[:-1]), reversed(support_batches)):

@@ -56,9 +56,11 @@ class Schedule:
     max_step: int = 5000
 
     def __post_init__(self):
-        if not (self.lr_max >= self.lr_min >= 0.0):
+        # NaN fails every comparison; the finite lr_max bounds lr_min too
+        if not (math.isfinite(self.lr_max) and self.lr_max >= self.lr_min >= 0.0):
             raise ConfigError(
-                f"schedule requires lr_max >= lr_min >= 0, got {self.lr_max}, {self.lr_min}"
+                "schedule requires finite lr_max >= lr_min >= 0, "
+                f"got {self.lr_max}, {self.lr_min}"
             )
         if self.max_step <= 0:
             raise ConfigError(f"schedule.max_step must be > 0, got {self.max_step}")

@@ -5,8 +5,10 @@ One outer step of meta-training draws, per training task, a fresh support
 batch for every inner SGD step plus one query batch (all from the task's
 train split). Each task unit is adapted by `inner_adapt`, which returns the
 parameters it visited; under grad_mode exact the query gradient is pulled
-back through that list (`nn.backprop_through_trace`). Augmentation hooks
-plug in here:
+back through that list (`nn.backprop_through_trace`). The units run in
+consecutive groups of up to `group_size` units, each group as one stack
+through the unit axis of `nn` (see README "Parameter layout"); results do
+not depend on the group size. Augmentation hooks plug in here:
 
   * metamix: each task also contributes the gradient of a mixed query
     batch; the task's meta-loss is the mean of the plain and mixed query
@@ -126,45 +128,88 @@ def initial_params(dataset: Dataset, cfg: RunConfig, seed: int) -> ModelParams:
     return init_params(dims, StreamBundle(seed).init())
 
 
-def inner_adapt(params: ModelParams, support_batches, lr: float) -> list[ModelParams]:
+def inner_adapt(params: ModelParams, support_batches, lr: float,
+                trace: bool = True) -> list[ModelParams]:
     """n SGD steps from params, one support batch per step.
 
     Returns the visited parameters: params first, then the result of each
     step, so the adapted parameters are last. Exact meta-gradients unroll
-    through this list (nn.backprop_through_trace).
+    through this list (nn.backprop_through_trace). With trace False the list
+    keeps only the adapted parameters, since first-order meta-gradients need
+    nothing else: a group's trace would otherwise set its peak memory. A
+    stack of G parameter vectors and batches adapts G units at once.
     """
     visited = [params]
     for batch in support_batches:
         _, grads = backward(visited[-1], batch)
         visited.append(params.like(sgd_step(visited[-1].flat, grads, lr)))
+        if not trace:
+            del visited[:-1]
     return visited
 
 
-def unit_gradient(theta, support, query, cfg: RunConfig, metamix_rng):
-    """Meta-loss and meta-gradient of one task unit (real or synthetic).
+# Activation elements (batch rows x widest layer) one unit group may hold per
+# layer. Stacking units amortizes numpy's per-call overhead across the group;
+# past this budget the stacked arrays outgrow the caches and the gain turns
+# into a loss (README "Parameter layout").
+GROUP_BUDGET = 1 << 15
 
-    Adapts theta on the support batches at cfg.meta.inner_lr, then takes the
-    query-loss gradient at the adapted parameters. With a metamix_rng, the
-    loss and gradient are the mean of the plain and a mixed query's, both
-    taken at the adapted parameters. The gradient is used as is under
-    first_order; under exact it is pulled back through the visited
-    parameters, once, after the averaging: the pullback is linear, so this
-    equals the mean of the two pulled-back gradients up to rounding.
+
+def group_size(layout, batch_size: int) -> int:
+    """Task units per stacked group for models of this layout and batch size."""
+    return max(1, GROUP_BUDGET // (batch_size * max(layout.dims)))
+
+
+def group_gradient(theta: ModelParams, support, query: Batch, cfg: RunConfig, metamix_rngs):
+    """Meta-losses [G] and meta-gradients [G, P] of a group of G task units.
+
+    support holds the group's stacked support batches, one per inner step,
+    and query its stacked query batches (x [G, B, D]). Every unit adapts
+    theta on its support batches at cfg.meta.inner_lr, then takes the
+    query-loss gradient at its adapted parameters. With metamix_rngs (one
+    generator per unit), a unit's loss and gradient are the mean of its
+    plain and a mixed query's, both taken at its adapted parameters. The
+    gradient is used as is under first_order; under exact it is pulled back
+    through the visited parameters, once, after the averaging: the pullback
+    is linear, so this equals the mean of the two pulled-back gradients up
+    to rounding.
     """
     lr = cfg.meta.inner_lr
-    visited = inner_adapt(theta, support, lr)
+    exact = cfg.meta.grad_mode == EXACT
+    start = theta.like(np.broadcast_to(theta.flat, (query.x.shape[0], theta.flat.size)))
+    visited = inner_adapt(start, support, lr, trace=exact)
     loss, grads = backward(visited[-1], query)
-    if metamix_rng is not None:
+    if metamix_rngs is not None:
         # the mixed batch is not kept and the average is taken in place, since
-        # the pullback below sets the unit's peak memory
+        # the pullback below sets the group's peak memory
         mixed_loss, mixed_grads = backward(visited[-1],
-                                           metamix_augment(query, cfg.mix, metamix_rng))
+                                           metamix_augment(query, cfg.mix, metamix_rngs))
         loss = 0.5 * (loss + mixed_loss)
         grads += mixed_grads
         grads *= 0.5
-    if cfg.meta.grad_mode == EXACT:
+    if exact:
         grads = backprop_through_trace(grads, visited, support, lr)
     return loss, grads
+
+
+def _episodes(tasks: list[Task], cfg: RunConfig, bundle: StreamBundle) -> Batch:
+    """Every task's batches of one outer step, stacked: x [T, S + 1, B, D] and
+    y [T, S + 1, B, C] hold a task's S = inner_steps support batches, then
+    its query batch; w [T, C] holds its class weights."""
+    n_batches, size = cfg.meta.inner_steps + 1, cfg.meta.batch_size
+    first = tasks[0]
+    out = Batch(
+        x=np.empty((len(tasks), n_batches, size, first.dim), first.features.dtype),
+        y=np.empty((len(tasks), n_batches, size, len(first.class_weights)), np.float32),
+        w=np.empty((len(tasks), len(first.class_weights)), np.float32),
+    )
+    for t, task in enumerate(tasks):
+        rng = bundle.batch(task.id)
+        for s in range(n_batches):
+            batch = sample_batch(task, "train", size, rng)
+            out.x[t, s], out.y[t, s] = batch.x, batch.y
+        out.w[t] = batch.w
+    return out
 
 
 def meta_step(
@@ -177,40 +222,48 @@ def meta_step(
     """One outer update over all real tasks plus any synthetic ones.
 
     Returns (theta', adam_state', stats). The outer step index is
-    adam_state.t, which also drives the cosine schedule.
+    adam_state.t, which also drives the cosine schedule. The real units run
+    first, then the synthetic ones, each in groups of up to group_size
+    units; a synthetic group is blended when it runs. Losses and gradients
+    are summed unit by unit in that order, so the group size never moves a
+    result.
     """
     step = adam_state.t
     aug = cfg.meta.augmentation
     use_metamix = aug in (AUG_METAMIX, AUG_BOTH)
     use_taskmix = aug in (AUG_TASKMIX, AUG_BOTH)
+    size = group_size(theta.layout, cfg.meta.batch_size)
 
-    per_task = []
-    for task in tasks:
-        rng = bundle.batch(task.id)
-        support = [
-            sample_batch(task, "train", cfg.meta.batch_size, rng)
-            for _ in range(cfg.meta.inner_steps)
-        ]
-        query = sample_batch(task, "train", cfg.meta.batch_size, rng)
-        per_task.append((support, query))
-
-    units = [(task.id, sup, query) for task, (sup, query) in zip(tasks, per_task)]
+    real = _episodes(tasks, cfg, bundle)
+    keys = [task.id for task in tasks]
+    spans = [(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
     if use_taskmix:
-        synthetic = taskmix_synthesize(per_task, cfg.mix, bundle.beta("taskmix"))
-        units += [(f"synthetic/{k}", sup, query) for k, (sup, query) in enumerate(synthetic)]
+        taskmix_rng = bundle.beta("taskmix")
+        keys += [f"synthetic/{k}" for k in range(cfg.mix.synthetic_count(len(tasks)))]
+        spans += [(a, min(a + size, len(keys))) for a in range(len(tasks), len(keys), size)]
 
     total_loss = 0.0
     total_grads = None
-    for key, support, query in units:
-        metamix_rng = bundle.beta(f"metamix/{key}") if use_metamix else None
-        loss, grads = unit_gradient(theta, support, query, cfg, metamix_rng)
-        total_loss += loss
-        total_grads = grads if total_grads is None else total_grads + grads
+    for a, b in spans:
+        if a < len(tasks):
+            episodes = real.units(slice(a, b))
+        else:
+            episodes = taskmix_synthesize(real, b - a, cfg.mix, taskmix_rng)
+        batches = [Batch(episodes.x[:, s], episodes.y[:, s], episodes.w)
+                   for s in range(cfg.meta.inner_steps + 1)]
+        metamix_rngs = [bundle.beta(f"metamix/{key}") for key in keys[a:b]] if use_metamix else None
+        losses, grads = group_gradient(theta, batches[:-1], batches[-1], cfg, metamix_rngs)
+        for loss, row in zip(losses, grads):
+            total_loss += float(loss)
+            if total_grads is None:
+                total_grads = row.copy()
+            else:
+                total_grads += row
 
     lr = cosine_lr(step, cfg.schedule)
     adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)
     theta = theta.like(flat)
-    stats = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(units)}
+    stats = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(keys)}
     return theta, adam_state, stats
 
 

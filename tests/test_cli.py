@@ -255,6 +255,21 @@ def test_invalid_config_value_rejected(tmp_path, capsys):
     assert "meta.augmentation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("meta.inner_lr", "nan"),  # exited 4: a non-finite loss at step 0
+    ("finetune.lr", "nan"),  # exited 0: train never reads it
+    ("schedule.lr_max", "inf"),  # exited 4: a non-finite update at step 0
+    ("mix.eta", "inf"),
+])
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    manifest = write_tiny_dataset(tmp_path, seed=35)
+    code = main(["train", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "r"), f"--{key}", value])
+    assert code == 2
+    assert key.split(".")[-1] in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bundled_presets_resolve(tmp_path, capsys):
     # bundled names parse and validate; full-size runs are not attempted here
     code = main(["train", "--config", "long", "--out", str(tmp_path / "r")])
@@ -364,6 +379,29 @@ def test_report_rerenders_from_cells(tmp_path, capsys):
     original = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
     for name in original:
         (out / name).unlink()
+    assert main(["report", "--in", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in original} == original
+
+
+@pytest.mark.parametrize("methods, seeds, repeated", [
+    ("vanilla", "0,0", "0"),
+    ("vanilla,vanilla", "0", "'vanilla'"),
+])
+def test_experiment_with_repeated_seed_or_method_is_a_config_error(
+    tmp_path, capsys, methods, seeds, repeated
+):
+    # a repeated cell was run once but counted twice in report.json, which
+    # `report` then rebuilt with one copy
+    manifest = write_tiny_dataset(tmp_path, seed=41)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(experiment_argv(manifest, cfg, out, methods, seeds=seeds)) == 2
+    assert f"{repeated} more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+    # a clean matrix, seeds out of order: `report` rebuilds both files exactly
+    assert main(experiment_argv(manifest, cfg, out, "vanilla,mtl", seeds="1,0")) == 0
+    original = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
     assert main(["report", "--in", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in original} == original
 

@@ -17,7 +17,7 @@ from taskmix.mixing import (
 )
 from taskmix.rng import substream
 
-from util import random_batch
+from util import random_batch, stacked
 
 
 def test_mix_arrays_endpoint_identities():
@@ -53,6 +53,18 @@ def test_mix_batches_preserves_label_normalization():
     for lam in rng.random(10):
         mixed = mix_batches(a, b, float(lam))
         assert np.abs(mixed.y.sum(axis=1) - 1.0).max() <= 1e-6
+
+
+def test_mix_into_out_equals_fresh_mix():
+    a = random_batch(8, b=8, c=3, d=2)
+    b = random_batch(9, b=8, c=3, d=2)
+    for lam in (0.0, 0.3, 1.0):
+        out = Batch(np.full_like(a.x, np.nan), np.full_like(a.y, np.nan), np.full_like(a.w, np.nan))
+        got = mix_batches(a, b, lam, out=out)
+        fresh = mix_batches(a, b, lam)
+        assert got.x is out.x and got.y is out.y and got.w is out.w
+        assert all(np.array_equal(p, q) for p, q in zip((got.x, got.y, got.w),
+                                                        (fresh.x, fresh.y, fresh.w)))
 
 
 def test_mix_batches_same_lambda_everywhere():
@@ -115,102 +127,101 @@ def test_mix_config_validation_names_keys():
 
 
 def test_metamix_single_row_is_identity():
-    batch = random_batch(1, b=1, c=4, d=3)
-    out = metamix_augment(batch, MixConfig(), np.random.default_rng(3))
+    batch = stacked(random_batch(1, b=1, c=4, d=3))
+    out = metamix_augment(batch, MixConfig(), [np.random.default_rng(3)])
     assert np.array_equal(out.x, batch.x)
     assert np.array_equal(out.y, batch.y)
 
 
 def test_metamix_forced_lambda_one_is_identity(monkeypatch):
-    batch = random_batch(2, b=12, c=4, d=3)
+    batch = stacked(random_batch(2, b=12, c=4, d=3), random_batch(3, b=12, c=4, d=3))
     monkeypatch.setattr(mixing, "sample_beta", lambda eta, rng: 1.0)
-    out = metamix_augment(batch, MixConfig(), np.random.default_rng(4))
+    out = metamix_augment(batch, MixConfig(), [np.random.default_rng(4), np.random.default_rng(5)])
     assert np.array_equal(out.x, batch.x)
     assert np.array_equal(out.y, batch.y)
     assert np.array_equal(out.w, batch.w)
 
 
 def test_metamix_matches_manual_reconstruction():
-    batch = random_batch(5, b=10, c=3, d=4)
+    # each unit of the stack mixes with its own stream
+    units = [random_batch(5 + g, b=10, c=3, d=4) for g in range(3)]
     cfg = MixConfig(eta=0.5)
-    out = metamix_augment(batch, cfg, substream(21, "beta", "m"))
-    # replay the same stream: permutation first, coefficient second
-    rng = substream(21, "beta", "m")
-    perm = rng.permutation(10)
-    lam = sample_beta(0.5, rng)
-    assert np.array_equal(out.x, mix_arrays(batch.x, batch.x[perm], lam))
-    assert np.array_equal(out.y, mix_arrays(batch.y, batch.y[perm], lam))
-    assert np.array_equal(out.w, batch.w)
+    out = metamix_augment(stacked(*units), cfg, [substream(21, "beta", g) for g in range(3)])
+    for g, batch in enumerate(units):
+        # replay the same stream: permutation first, coefficient second
+        rng = substream(21, "beta", g)
+        perm = rng.permutation(10)
+        lam = sample_beta(0.5, rng)
+        assert np.array_equal(out.x[g], mix_arrays(batch.x, batch.x[perm], lam))
+        assert np.array_equal(out.y[g], mix_arrays(batch.y, batch.y[perm], lam))
+        assert np.array_equal(out.w[g], batch.w)
 
 
 def test_metamix_rows_stay_in_convex_hull():
-    batch = random_batch(6, b=20, c=4, d=5)
+    batch = stacked(random_batch(6, b=20, c=4, d=5))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        out = metamix_augment(batch, MixConfig(), rng)
+        out = metamix_augment(batch, MixConfig(), [rng])
         assert out.x.min() >= batch.x.min() - 1e-12
         assert out.x.max() <= batch.x.max() + 1e-12
         assert out.y.min() >= -1e-12
         assert out.y.max() <= 1.0 + 1e-12
 
 
-def per_task_batches(n_tasks, n_support, seed0=100):
-    out = []
+def episode_stack(n_tasks, n_batches, seed0=100):
+    """n_tasks tasks' batches of one step: x [T, n_batches, B, D], w [T, C]; a
+    task's batches share its class weights."""
+    per_task = []
     for t in range(n_tasks):
-        support = [random_batch(seed0 + 10 * t + k, b=6, c=4, d=3) for k in range(n_support)]
-        query = random_batch(seed0 + 10 * t + 9, b=6, c=4, d=3)
-        out.append((support, query))
-    return out
+        batches = [random_batch(seed0 + 10 * t + k, b=6, c=4, d=3) for k in range(n_batches)]
+        per_task.append([Batch(b.x, b.y, batches[0].w) for b in batches])
+    episodes = stacked(*(stacked(*batches) for batches in per_task))
+    return Batch(episodes.x, episodes.y, episodes.w[:, 0]), per_task
 
 
 def test_taskmix_zero_returns_empty_without_draws():
-    per_task = per_task_batches(3, 2)
+    episodes, _ = episode_stack(3, 2)
     rng = np.random.default_rng(6)
     before = rng.bit_generator.state
-    out = taskmix_synthesize(per_task, MixConfig(n_synthetic=0), rng)
-    assert out == []
+    out = taskmix_synthesize(episodes, 0, MixConfig(), rng)
+    assert out.x.shape == (0, *episodes.x.shape[1:]) and out.w.shape == (0, 4)
     assert rng.bit_generator.state == before
 
 
 def test_taskmix_default_count_equals_task_count():
-    per_task = per_task_batches(4, 2)
-    out = taskmix_synthesize(per_task, MixConfig(), np.random.default_rng(7))
-    assert len(out) == 4
-    explicit = taskmix_synthesize(
-        per_task, MixConfig(n_synthetic=9), np.random.default_rng(7)
-    )
-    assert len(explicit) == 9
+    assert MixConfig().synthetic_count(4) == 4
+    assert MixConfig(n_synthetic=9).synthetic_count(4) == 9
+    assert MixConfig(n_synthetic=0).synthetic_count(4) == 0
+    episodes, _ = episode_stack(4, 2)
+    out = taskmix_synthesize(episodes, 9, MixConfig(), np.random.default_rng(7))
+    assert out.x.shape == (9, *episodes.x.shape[1:])
 
 
 def test_taskmix_provenance_and_shared_lambda():
-    per_task = per_task_batches(5, 3)
-    out = taskmix_synthesize(per_task, MixConfig(), np.random.default_rng(8))
+    episodes, per_task = episode_stack(5, 3)
+    out = taskmix_synthesize(episodes, 5, MixConfig(), np.random.default_rng(8))
     twin = np.random.default_rng(8)  # replays each task's draws: i, j, then lam
-    for support, query in out:
+    for k in range(5):
         i, j = int(twin.integers(0, 5)), int(twin.integers(0, 5))
         lam = sample_beta(MixConfig().eta, twin)
         assert 0 <= i < 5 and 0 <= j < 5
         assert 0.0 <= lam <= 1.0
-        assert len(support) == 3
         # the pair's one coefficient reproduces every mixed batch exactly
-        sup_i, q_i = per_task[i]
-        sup_j, q_j = per_task[j]
-        rebuilt_q = mix_batches(q_i, q_j, lam)
-        assert np.array_equal(query.x, rebuilt_q.x)
-        assert np.array_equal(query.y, rebuilt_q.y)
-        for got, a, b in zip(support, sup_i, sup_j):
+        for step, (a, b) in enumerate(zip(per_task[i], per_task[j])):
             rebuilt = mix_batches(a, b, lam)
-            assert np.array_equal(got.x, rebuilt.x)
-            assert np.array_equal(got.y, rebuilt.y)
-            assert np.array_equal(got.w, rebuilt.w)
+            assert np.array_equal(out.x[k, step], rebuilt.x)
+            assert np.array_equal(out.y[k, step], rebuilt.y)
+            assert np.array_equal(out.w[k], rebuilt.w)
 
 
 def test_taskmix_deterministic_per_stream():
-    per_task = per_task_batches(3, 1)
-    a = taskmix_synthesize(per_task, MixConfig(), substream(5, "beta", "taskmix"))
-    b = taskmix_synthesize(per_task, MixConfig(), substream(5, "beta", "taskmix"))
-    assert len(a) == len(b) == 3
-    for (sup_a, q_a), (sup_b, q_b) in zip(a, b):
-        for x, y in zip(sup_a + [q_a], sup_b + [q_b]):
-            assert np.array_equal(x.x, y.x) and np.array_equal(x.y, y.y)
+    episodes, _ = episode_stack(3, 2)
+    a = taskmix_synthesize(episodes, 3, MixConfig(), substream(5, "beta", "taskmix"))
+    b = taskmix_synthesize(episodes, 3, MixConfig(), substream(5, "beta", "taskmix"))
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
+    # consecutive calls continue one sequence of draws
+    rng = substream(5, "beta", "taskmix")
+    first, rest = (taskmix_synthesize(episodes, n, MixConfig(), rng) for n in (2, 1))
+    assert np.array_equal(np.concatenate([first.x, rest.x]), a.x)
+    assert np.array_equal(np.concatenate([first.w, rest.w]), a.w)
 

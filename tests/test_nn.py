@@ -22,9 +22,17 @@ from taskmix.nn import (
     loss_hvp,
     weighted_ce,
 )
-from taskmix.training import inner_adapt, unit_gradient
+from taskmix.training import group_gradient, inner_adapt
 
-from util import fd_gradient, random_batch, rel_err, same_params, small_net, tiny_config
+from util import (
+    fd_gradient,
+    random_batch,
+    rel_err,
+    same_params,
+    small_net,
+    stacked,
+    tiny_config,
+)
 
 
 # (input, *hidden, classes) of the finite-difference checks: no hidden layer
@@ -161,26 +169,34 @@ def test_hvp_matches_fd_of_gradients(dims):
         assert rel_err(hv, fd) < 1e-5
 
 
+def group_of_units(seeds, n_steps, c):
+    """(support, query) of one task unit per seed, and the stacked group of them."""
+    units = [([random_batch(700 + 10 * seed + k, 8, 4, c) for k in range(n_steps)],
+              random_batch(900 + seed, 8, 4, c)) for seed in seeds]
+    support = [stacked(*step) for step in zip(*(sup for sup, _ in units))]
+    return units, support, stacked(*(query for _, query in units))
+
+
 @pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
 @pytest.mark.parametrize("n_steps", [1, 2, 3])
 def test_meta_gradient_matches_fd_of_meta_objective(n_steps, dims):
+    # one group of two units per theta: each row is its own unit's meta-gradient
     inner_lr = 0.05
     cfg = tiny_config(meta={"inner_lr": inner_lr, "grad_mode": EXACT})
     c = dims[-1]
     for seed in (0, 1, 2):
         theta = small_net(seed, dims=dims)
-        support = [random_batch(700 + 10 * seed + k, 8, 4, c) for k in range(n_steps)]
-        query = random_batch(900 + seed, 8, 4, c)
+        units, support, query = group_of_units((seed, seed + 3), n_steps, c)
+        _, exact = group_gradient(theta, support, query, cfg, None)
 
-        _, exact = unit_gradient(theta, support, query, cfg, None)
+        for row, (unit_support, unit_query) in zip(exact, units):
+            def meta_objective(vec):
+                p = theta.like(vec)
+                adapted = inner_adapt(p, unit_support, inner_lr)[-1]
+                return weighted_ce(forward(adapted, unit_query.x), unit_query.y, unit_query.w)
 
-        def meta_objective(vec):
-            p = theta.like(vec)
-            adapted = inner_adapt(p, support, inner_lr)[-1]
-            return weighted_ce(forward(adapted, query.x), query.y, query.w)
-
-        fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
-        assert rel_err(exact, fd) < 1e-4
+            fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
+            assert rel_err(row, fd) < 1e-4
 
 
 @pytest.mark.parametrize("dims", DEPTHS, ids=dims_id)
@@ -192,23 +208,25 @@ def test_exact_metamix_gradient_matches_fd_of_mean_meta_objective(n_steps, dims)
     c = dims[-1]
     for seed in (0, 1, 2):
         theta = small_net(seed, dims=dims)
-        support = [random_batch(700 + 10 * seed + k, 8, 4, c) for k in range(n_steps)]
-        query = random_batch(900 + seed, 8, 4, c)
+        units, support, query = group_of_units((seed, seed + 3), n_steps, c)
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed + 3)]
+        _, exact = group_gradient(theta, support, query, cfg, rngs)
+        # the same mixed batches, drawn from twin generators
+        twins = [np.random.default_rng(seed), np.random.default_rng(seed + 3)]
+        mixed = metamix_augment(query, cfg.mix, twins)
 
-        _, exact = unit_gradient(theta, support, query, cfg, np.random.default_rng(seed))
-        # the same mixed batch, drawn from a twin generator
-        mixed = metamix_augment(query, cfg.mix, np.random.default_rng(seed))
+        for g, (row, (unit_support, unit_query)) in enumerate(zip(exact, units)):
+            def meta_objective(vec):
+                adapted = inner_adapt(theta.like(vec), unit_support, inner_lr)[-1]
+                return 0.5 * sum(weighted_ce(forward(adapted, b.x), b.y, b.w)
+                                 for b in (unit_query, mixed.units(g)))
 
-        def meta_objective(vec):
-            adapted = inner_adapt(theta.like(vec), support, inner_lr)[-1]
-            return 0.5 * sum(weighted_ce(forward(adapted, b.x), b.y, b.w) for b in (query, mixed))
-
-        fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
-        assert rel_err(exact, fd) < 1e-4
+            fd = fd_gradient(meta_objective, theta.flat.copy(), h=1e-6)
+            assert rel_err(row, fd) < 1e-4
 
 
 def test_exact_metamix_pulls_back_once(monkeypatch):
-    # one pullback of the averaged query gradient: inner_steps HVPs per unit
+    # one pullback of the averaged query gradients: inner_steps HVPs per group
     import taskmix.nn as nn_mod
 
     calls = []
@@ -221,21 +239,54 @@ def test_exact_metamix_pulls_back_once(monkeypatch):
     monkeypatch.setattr(nn_mod, "loss_hvp", counted_hvp)
     cfg = tiny_config(meta={"inner_steps": 3, "grad_mode": EXACT, "augmentation": "metamix"})
     theta = small_net(seed=3)
-    support = [random_batch(60 + k, 8, 4, 2) for k in range(3)]
-    unit_gradient(theta, support, random_batch(66, 8, 4, 2), cfg, np.random.default_rng(0))
+    _, support, query = group_of_units((0, 1), 3, 2)
+    group_gradient(theta, support, query, cfg, [np.random.default_rng(0), np.random.default_rng(1)])
     assert len(calls) == cfg.meta.inner_steps
+    assert all(direction.shape == (2, theta.flat.size) for direction in calls)
 
 
 def test_meta_gradient_modes_coincide_without_inner_steps():
     theta = small_net(seed=8)
     query = random_batch(77, 8, 4, 2)
-    loss_first, g_first = unit_gradient(theta, [], query, tiny_config(), None)
+    loss_first, g_first = group_gradient(theta, [], stacked(query), tiny_config(), None)
     exact_cfg = tiny_config(meta={"grad_mode": EXACT})
-    loss_exact, g_exact = unit_gradient(theta, [], query, exact_cfg, None)
-    assert loss_first == loss_exact
+    loss_exact, g_exact = group_gradient(theta, [], stacked(query), exact_cfg, None)
+    assert np.array_equal(loss_first, loss_exact)
     assert np.array_equal(g_first, g_exact)
     # both are the plain query gradient at theta
-    assert np.array_equal(g_first, backward(theta, query)[1])
+    assert np.array_equal(g_first[0], backward(theta, query)[1])
+
+
+@pytest.mark.parametrize("dims", [(6, 3), (6, 8, 3), (6, 8, 5, 4)], ids=dims_id)
+def test_stacked_calls_equal_their_slices_bit_for_bit(dims):
+    # a stack of G models and batches, or G batches at one broadcast model,
+    # gives per slice exactly what the unstacked call gives (float32, as in
+    # training)
+    rng = np.random.default_rng(0)
+    models = [init_params(dims, rng) for _ in range(3)]
+    batches = [random_batch(30 + g, 16, dims[0], dims[-1], dtype=np.float32) for g in range(3)]
+    directions = rng.standard_normal((3, models[0].layout.size)).astype(np.float32)
+    group = stacked(*batches)
+    layout = models[0].layout
+    for flats in (np.stack([m.flat for m in models]), np.broadcast_to(models[0].flat, (3, layout.size))):
+        params = ModelParams(flats, layout)
+        losses, grads = backward(params, group)
+        hvps = loss_hvp(params, group, directions)
+        assert losses.dtype == np.float64 and grads.shape == hvps.shape == (3, layout.size)
+        for g, batch in enumerate(batches):
+            one = ModelParams(flats[g].copy(), layout)
+            loss, grad = backward(one, batch)
+            assert losses[g] == loss
+            assert np.array_equal(grads[g], grad)
+            assert np.array_equal(hvps[g], loss_hvp(one, batch, directions[g]))
+        # views of a stack name the same slices, unit by unit
+        stack_layers, stack_head = layout.views(grads)
+        for g in range(3):
+            layers, head = layout.views(grads[g])
+            assert all(np.array_equal(a[g], b) for a, b in zip(stack_head, head))
+            assert all(np.array_equal(a[g], b)
+                       for stack_layer, layer in zip(stack_layers, layers)
+                       for a, b in zip(stack_layer, layer))
 
 
 def test_trace_unroll_quadratic_closed_form(monkeypatch):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from taskmix import mixing
+from taskmix.config import AUGMENTATIONS
 from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, sample_batch
 from taskmix.errors import TrainingDivergedError
-from taskmix.nn import backward
+from taskmix.nn import GRAD_MODES, backward
 from taskmix.optim import AdamState, adam_step, cosine_lr, sgd_step
 from taskmix.rng import StreamBundle
 from taskmix.training import (
@@ -127,6 +128,30 @@ def test_taskmix_changes_units_not_outer_steps():
     assert stats_a["step"] == stats_b["step"] == 0
     # the loss average runs over T + N units under taskmix
     assert stats_a["mean_task_loss"] != stats_b["mean_task_loss"]
+
+
+@pytest.mark.parametrize("grad_mode", GRAD_MODES)
+@pytest.mark.parametrize("augmentation", AUGMENTATIONS)
+def test_meta_step_results_do_not_depend_on_group_size(augmentation, grad_mode, monkeypatch):
+    # one unit per group, groups of 2 (which divides neither the 3 real nor the
+    # 6 units under taskmix), and one group for all: the same bytes each time
+    import taskmix.training as training
+
+    ds = tiny_dataset(seed=25)
+    cfg = tiny_config(meta={"augmentation": augmentation, "grad_mode": grad_mode})
+    theta = initial_params(ds, cfg, 0)
+    per_unit = cfg.meta.batch_size * max(theta.layout.dims)
+    runs = []
+    for size in (1, 2, 64):
+        monkeypatch.setattr(training, "GROUP_BUDGET", size * per_unit)
+        assert training.group_size(theta.layout, cfg.meta.batch_size) == size
+        params, adam, bundle = theta, AdamState.init(theta.flat), StreamBundle(0)
+        stats = []
+        for _ in range(3):
+            params, adam, record = meta_step(params, adam, ds.meta_train_tasks, cfg, bundle)
+            stats.append(json.dumps(record))
+        runs.append((params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t, stats))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_exact_metamix_with_unit_coefficient_is_plain_exact(monkeypatch):
@@ -316,8 +341,9 @@ def test_stage_loop_contract(stage, tmp_path, monkeypatch):
             return state, params * np.nan if poison == "params" and len(updates) == 3 else params
 
         def poisoned_backward(params, batch):
+            # meta-train's calls carry a unit axis: one loss per unit
             loss, grads = backward(params, batch)
-            return (math.inf if poison == "loss" and len(updates) >= 3 else loss), grads
+            return (loss + math.inf if poison == "loss" and len(updates) >= 3 else loss), grads
 
         monkeypatch.setattr(training, "adam_step", poisoned_adam)
         monkeypatch.setattr(training, "backward", poisoned_backward)

@@ -56,6 +56,11 @@ def random_batch(seed: int, b: int, d: int, c: int, dtype=np.float64) -> Batch:
     return Batch(x=x, y=y, w=w)
 
 
+def stacked(*batches) -> Batch:
+    """Batches as one stack with a leading unit axis, as the group path takes them."""
+    return Batch(*(np.stack(arrays) for arrays in zip(*((b.x, b.y, b.w) for b in batches))))
+
+
 def tiny_dataset(seed: int = 7, **overrides):
     """A fast, fully separable-ish dataset for training-loop tests."""
     kw = dict(
