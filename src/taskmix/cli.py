@@ -7,8 +7,8 @@ seeds matrix with resumable cells), report (re-render a results directory).
 Every configuration key is overridable by a flag of the same dotted name
 (for example --meta.inner_lr 0.02); `--config` accepts a JSON file path or
 a preset name (long, wide). Exit codes: 0 success, 2 configuration
-error (ConfigError), 3 data error (DataError), 4 training divergence
-(TrainingDivergedError).
+error (ConfigError, or a configured size too large to allocate), 3 data
+error (DataError), 4 training divergence (TrainingDivergedError).
 """
 
 from __future__ import annotations
@@ -307,6 +307,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the large arrays are sized by the configuration: batch size, layer widths
+        print(f"error: a configured size does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,10 +112,11 @@ def compute_class_weights(labels: np.ndarray, n_classes: int, c_max: int) -> np.
     return weights
 
 
-def one_hot(labels: np.ndarray, width: int, dtype=np.float32) -> np.ndarray:
-    out = np.zeros((len(labels), width), dtype=dtype)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+def one_hot(labels: np.ndarray, width: int, dtype=np.float32, out=None) -> np.ndarray:
+    """Labels of any shape [...] as rows of the identity, [..., width];
+    written into out if given. Labels must lie in [0, width)."""
+    # mode "clip" lets np.take write straight into out; "raise" fills a copy first
+    return np.take(np.eye(width, dtype=dtype), labels, axis=0, out=out, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +344,51 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _rows_batch(task: Task, rows: np.ndarray) -> Batch:
-    """The given rows of a task; labels one-hot encoded to C_max width."""
+def empty_batch(task: Task, rows_shape: tuple, units: tuple = ()) -> Batch:
+    """Unfilled arrays for batches of a task's shape: x [*units, *rows_shape, D],
+    y [*units, *rows_shape, C_max] and w [*units, C_max]."""
+    width = len(task.class_weights)
     return Batch(
-        x=task.features[rows],
-        y=one_hot(task.labels[rows], len(task.class_weights)),
-        w=task.class_weights.astype(np.float32),
+        x=np.empty((*units, *rows_shape, task.dim), task.features.dtype),
+        y=np.empty((*units, *rows_shape, width), np.float32),
+        w=np.empty((*units, width), np.float32),
     )
+
+
+def gather_batch(task: Task, rows: np.ndarray, out: Batch | None = None) -> Batch:
+    """The given rows (indices of any shape) of a task: x [*rows.shape, D], y
+    one-hot to C_max width, w the class weights in float32. Written into out's
+    arrays if given, one pass each.
+
+    The rows must index the task: sample_rows and the splits that load_dataset
+    checked give only such indices.
+    """
+    if out is None:
+        out = empty_batch(task, rows.shape)
+    np.take(task.features, rows, axis=0, out=out.x, mode="clip")  # "clip": see one_hot
+    one_hot(task.labels[rows], len(task.class_weights), out=out.y)
+    out.w[...] = task.class_weights
+    return out
+
+
+def sample_rows(
+    task: Task, split: str, batch_size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """batch_size row indices drawn uniformly, with replacement, from the split."""
+    pool = task.splits[split]
+    return pool[rng.integers(0, len(pool), size=int(batch_size))]
 
 
 def sample_batch(
     task: Task, split: str, batch_size: int, rng: np.random.Generator
 ) -> Batch:
-    """Uniform draw with replacement from the split."""
-    pool = task.splits[split]
-    return _rows_batch(task, pool[rng.integers(0, len(pool), size=int(batch_size))])
+    """The rows of sample_rows, gathered."""
+    return gather_batch(task, sample_rows(task, split, batch_size, rng))
 
 
 def full_split_batch(task: Task, split: str) -> Batch:
     """The entire split as one batch; used for rng-free evaluation passes."""
-    return _rows_batch(task, task.splits[split])
+    return gather_batch(task, task.splits[split])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ Two uses share the same primitive mix(a, b, lam) = lam*a + (1-lam)*b:
     itself, giving each task an extra smoothed gradient term;
   * taskmix_synthesize blends the support/query batches of two randomly
     chosen training tasks into a synthetic task shaped like a real task's,
-    widening the task distribution the learner adapts to.
+    widening the task distribution the learner adapts to. It gathers each
+    source task's batches from their row indices when it mixes them.
 
-Both work on stacks of task units (a Batch with a leading unit axis, as
+Both return stacks of task units (a Batch with a leading unit axis, as
 `nn` takes them) and write each unit's mix into one new stack.
 
 Mixing coefficients are Beta(eta, eta) draws. Sampling goes through
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, Task, empty_batch, gather_batch
 from .errors import ConfigError
 
 
@@ -137,26 +138,28 @@ def metamix_augment(batch: Batch, cfg: MixConfig, rngs) -> Batch:
     return Batch(x=x, y=y, w=batch.w)
 
 
-def taskmix_synthesize(episodes: Batch, count: int, cfg: MixConfig,
+def taskmix_synthesize(tasks: list[Task], rows: np.ndarray, count: int, cfg: MixConfig,
                        rng: np.random.Generator) -> Batch:
     """Blend random pairs of this step's real tasks into `count` new tasks.
 
-    episodes stacks every real task's batches of the current outer step:
-    x [T, S + 1, B, D] and y [T, S + 1, B, C] hold its S support batches and
-    its query batch, w [T, C] its class weights; the synthetic tasks come back
-    in one new stack of that shape with `count` units. Every synthetic task
-    draws an independent source pair i, j (a task may pair with itself),
-    then a single coefficient lam, and mixes every batch of task i with the
+    rows [T, S + 1, B] holds the row indices of every real task's batches of
+    the current outer step: its S support batches, then its query batch. The
+    synthetic tasks come back in one new stack of `count` units: x
+    [count, S + 1, B, D], y [count, S + 1, B, C] and w [count, C]. Every
+    synthetic task draws an independent source pair i, j (a task may pair
+    with itself), then a single coefficient lam; it gathers the two tasks'
+    batches (data.gather_batch) and mixes every batch of task i with the
     same batch of task j. All draws come from the one stream passed in,
     which nothing else consumes, so calls for consecutive counts continue
     one sequence; a count of zero draws nothing and changes nothing.
     """
-    n_tasks = episodes.x.shape[0]
-    out = Batch(*(np.empty((count, *a.shape[1:]), a.dtype)
-                  for a in (episodes.x, episodes.y, episodes.w)))
+    out = empty_batch(tasks[0], rows.shape[1:], (count,))
     for k in range(count):
-        i = int(rng.integers(0, n_tasks))
-        j = int(rng.integers(0, n_tasks))
+        i = int(rng.integers(0, len(tasks)))
+        j = int(rng.integers(0, len(tasks)))
         lam = sample_beta(cfg.eta, rng)
-        mix_batches(episodes.units(i), episodes.units(j), lam, out=out.units(k))
+        # task i is gathered into its slot and mixed there: mix_arrays reads
+        # each element before it writes it
+        unit = gather_batch(tasks[i], rows[i], out=out.units(k))
+        mix_batches(unit, gather_batch(tasks[j], rows[j]), lam, out=unit)
     return out

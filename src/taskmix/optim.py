@@ -38,15 +38,29 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
-    """One bias-corrected Adam update of a flat vector; returns (new_state, new_params)."""
+    """One bias-corrected Adam update of a flat vector; returns (new_state, new_params).
+
+    The moments are updated in place: new_state holds state.m and state.v,
+    mutated, so the state passed in is spent. The float operations and
+    their order are those of the textbook formula
+    params - lr * (m / mc) / (sqrt(v / vc) + eps).
+    """
     t = state.t + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * grads * grads
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
     mc = 1.0 - b1**t
     vc = 1.0 - b2**t
-    new_params = params - lr * (m / mc) / (np.sqrt(v / vc) + ADAM_EPS)
-    return AdamState(m=m, v=v, t=t), new_params
+    step = m / mc
+    step *= lr
+    denom = v / vc
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    return AdamState(m=m, v=v, t=t), params - step
 
 
 @dataclass

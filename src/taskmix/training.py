@@ -3,12 +3,15 @@ meta-test fine-tuning, and the joint multi-task baseline.
 
 One outer step of meta-training draws, per training task, a fresh support
 batch for every inner SGD step plus one query batch (all from the task's
-train split). Each task unit is adapted by `inner_adapt`, which returns the
-parameters it visited; under grad_mode exact the query gradient is pulled
-back through that list (`nn.backprop_through_trace`). The units run in
-consecutive groups of up to `group_size` units, each group as one stack
-through the unit axis of `nn` (see README "Parameter layout"); results do
-not depend on the group size. Augmentation hooks plug in here:
+train split). The step keeps the draws as row indices and gathers a group's
+batches from the tasks' arrays when the group runs, so it never holds the
+features of all its batches at once. Each task unit is adapted by
+`inner_adapt`, which returns the parameters it visited; under grad_mode
+exact the query gradient is pulled back through that list
+(`nn.backprop_through_trace`). The units run in consecutive groups of up to
+`group_size` units, each group as one stack through the unit axis of `nn`
+(see README "Parameter layout"); results do not depend on the group size.
+Augmentation hooks plug in here:
 
   * metamix: each task also contributes the gradient of a mixed query
     batch; the task's meta-loss is the mean of the plain and mixed query
@@ -40,7 +43,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import AUG_BOTH, AUG_METAMIX, AUG_TASKMIX, RunConfig
-from .data import Batch, Dataset, Task, full_split_batch, sample_batch
+from .data import (
+    Batch,
+    Dataset,
+    Task,
+    empty_batch,
+    full_split_batch,
+    gather_batch,
+    sample_batch,
+    sample_rows,
+)
 from .errors import TrainingDivergedError
 from .metrics import split_loss, split_macro_f1
 from .mixing import metamix_augment, taskmix_synthesize
@@ -192,24 +204,16 @@ def group_gradient(theta: ModelParams, support, query: Batch, cfg: RunConfig, me
     return loss, grads
 
 
-def _episodes(tasks: list[Task], cfg: RunConfig, bundle: StreamBundle) -> Batch:
-    """Every task's batches of one outer step, stacked: x [T, S + 1, B, D] and
-    y [T, S + 1, B, C] hold a task's S = inner_steps support batches, then
-    its query batch; w [T, C] holds its class weights."""
-    n_batches, size = cfg.meta.inner_steps + 1, cfg.meta.batch_size
-    first = tasks[0]
-    out = Batch(
-        x=np.empty((len(tasks), n_batches, size, first.dim), first.features.dtype),
-        y=np.empty((len(tasks), n_batches, size, len(first.class_weights)), np.float32),
-        w=np.empty((len(tasks), len(first.class_weights)), np.float32),
-    )
-    for t, task in enumerate(tasks):
+def _episodes(tasks: list[Task], cfg: RunConfig, bundle: StreamBundle) -> np.ndarray:
+    """Row indices [T, S + 1, B] of every task's batches of one outer step: a
+    task's S = inner_steps support batches, then its query batch, each drawn
+    from its train split with its own batch substream."""
+    rows = np.empty((len(tasks), cfg.meta.inner_steps + 1, cfg.meta.batch_size), np.int64)
+    for task, task_rows in zip(tasks, rows):
         rng = bundle.batch(task.id)
-        for s in range(n_batches):
-            batch = sample_batch(task, "train", size, rng)
-            out.x[t, s], out.y[t, s] = batch.x, batch.y
-        out.w[t] = batch.w
-    return out
+        for batch_rows in task_rows:
+            batch_rows[...] = sample_rows(task, "train", cfg.meta.batch_size, rng)
+    return rows
 
 
 def meta_step(
@@ -224,9 +228,9 @@ def meta_step(
     Returns (theta', adam_state', stats). The outer step index is
     adam_state.t, which also drives the cosine schedule. The real units run
     first, then the synthetic ones, each in groups of up to group_size
-    units; a synthetic group is blended when it runs. Losses and gradients
-    are summed unit by unit in that order, so the group size never moves a
-    result.
+    units; a group's batches are gathered, and a synthetic group's blended,
+    when it runs. Losses and gradients are summed unit by unit in that
+    order, so the group size never moves a result.
     """
     step = adam_state.t
     aug = cfg.meta.augmentation
@@ -234,7 +238,7 @@ def meta_step(
     use_taskmix = aug in (AUG_TASKMIX, AUG_BOTH)
     size = group_size(theta.layout, cfg.meta.batch_size)
 
-    real = _episodes(tasks, cfg, bundle)
+    rows = _episodes(tasks, cfg, bundle)
     keys = [task.id for task in tasks]
     spans = [(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
     if use_taskmix:
@@ -246,9 +250,11 @@ def meta_step(
     total_grads = None
     for a, b in spans:
         if a < len(tasks):
-            episodes = real.units(slice(a, b))
+            episodes = empty_batch(tasks[a], rows.shape[1:], (b - a,))
+            for g, t in enumerate(range(a, b)):
+                gather_batch(tasks[t], rows[t], out=episodes.units(g))
         else:
-            episodes = taskmix_synthesize(real, b - a, cfg.mix, taskmix_rng)
+            episodes = taskmix_synthesize(tasks, rows, b - a, cfg.mix, taskmix_rng)
         batches = [Batch(episodes.x[:, s], episodes.y[:, s], episodes.w)
                    for s in range(cfg.meta.inner_steps + 1)]
         metamix_rngs = [bundle.beta(f"metamix/{key}") for key in keys[a:b]] if use_metamix else None

@@ -270,6 +270,21 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, value)
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    # both exited 1 with a numpy traceback; the sizes are past the address
+    # space, so numpy refuses them before touching any memory
+    ("meta.batch_size", "100000000000000"),
+    ("model.hidden", "10000000000000"),
+])
+def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, key, value):
+    manifest = write_tiny_dataset(tmp_path, seed=35)
+    code = main(["train", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "r"), f"--{key}", value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "does not fit in memory" in err
+
+
 def test_bundled_presets_resolve(tmp_path, capsys):
     # bundled names parse and validate; full-size runs are not attempted here
     code = main(["train", "--config", "long", "--out", str(tmp_path / "r")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taskmix import mixing
-from taskmix.data import Batch
+from taskmix.data import Batch, Task, one_hot
 from taskmix.errors import ConfigError
 from taskmix.mixing import (
     MixConfig,
@@ -169,21 +169,27 @@ def test_metamix_rows_stay_in_convex_hull():
 
 
 def episode_stack(n_tasks, n_batches, seed0=100):
-    """n_tasks tasks' batches of one step: x [T, n_batches, B, D], w [T, C]; a
-    task's batches share its class weights."""
-    per_task = []
-    for t in range(n_tasks):
-        batches = [random_batch(seed0 + 10 * t + k, b=6, c=4, d=3) for k in range(n_batches)]
-        per_task.append([Batch(b.x, b.y, batches[0].w) for b in batches])
+    """n_tasks tasks and the row indices [T, n_batches, B] of their batches of
+    one step; also those batches gathered, as one stack (x [T, n_batches, B, D],
+    w [T, C]) and per task. A task's batches share its class weights."""
+    rng = np.random.default_rng(seed0)
+    tasks = [Task(id=f"t{t}", role="meta_train", n_classes=4,
+                  features=rng.standard_normal((20, 3)), labels=rng.integers(0, 4, size=20),
+                  splits={}, class_weights=rng.uniform(0.5, 2.0, size=4))
+             for t in range(n_tasks)]
+    rows = rng.integers(0, 20, size=(n_tasks, n_batches, 6))
+    per_task = [[Batch(task.features[r], one_hot(task.labels[r], 4),
+                       task.class_weights.astype(np.float32)) for r in task_rows]
+                for task, task_rows in zip(tasks, rows)]
     episodes = stacked(*(stacked(*batches) for batches in per_task))
-    return Batch(episodes.x, episodes.y, episodes.w[:, 0]), per_task
+    return (tasks, rows), Batch(episodes.x, episodes.y, episodes.w[:, 0]), per_task
 
 
 def test_taskmix_zero_returns_empty_without_draws():
-    episodes, _ = episode_stack(3, 2)
+    (tasks, rows), episodes, _ = episode_stack(3, 2)
     rng = np.random.default_rng(6)
     before = rng.bit_generator.state
-    out = taskmix_synthesize(episodes, 0, MixConfig(), rng)
+    out = taskmix_synthesize(tasks, rows, 0, MixConfig(), rng)
     assert out.x.shape == (0, *episodes.x.shape[1:]) and out.w.shape == (0, 4)
     assert rng.bit_generator.state == before
 
@@ -192,14 +198,14 @@ def test_taskmix_default_count_equals_task_count():
     assert MixConfig().synthetic_count(4) == 4
     assert MixConfig(n_synthetic=9).synthetic_count(4) == 9
     assert MixConfig(n_synthetic=0).synthetic_count(4) == 0
-    episodes, _ = episode_stack(4, 2)
-    out = taskmix_synthesize(episodes, 9, MixConfig(), np.random.default_rng(7))
+    (tasks, rows), episodes, _ = episode_stack(4, 2)
+    out = taskmix_synthesize(tasks, rows, 9, MixConfig(), np.random.default_rng(7))
     assert out.x.shape == (9, *episodes.x.shape[1:])
 
 
 def test_taskmix_provenance_and_shared_lambda():
-    episodes, per_task = episode_stack(5, 3)
-    out = taskmix_synthesize(episodes, 5, MixConfig(), np.random.default_rng(8))
+    (tasks, rows), _, per_task = episode_stack(5, 3)
+    out = taskmix_synthesize(tasks, rows, 5, MixConfig(), np.random.default_rng(8))
     twin = np.random.default_rng(8)  # replays each task's draws: i, j, then lam
     for k in range(5):
         i, j = int(twin.integers(0, 5)), int(twin.integers(0, 5))
@@ -215,13 +221,13 @@ def test_taskmix_provenance_and_shared_lambda():
 
 
 def test_taskmix_deterministic_per_stream():
-    episodes, _ = episode_stack(3, 2)
-    a = taskmix_synthesize(episodes, 3, MixConfig(), substream(5, "beta", "taskmix"))
-    b = taskmix_synthesize(episodes, 3, MixConfig(), substream(5, "beta", "taskmix"))
+    (tasks, rows), _, _ = episode_stack(3, 2)
+    a = taskmix_synthesize(tasks, rows, 3, MixConfig(), substream(5, "beta", "taskmix"))
+    b = taskmix_synthesize(tasks, rows, 3, MixConfig(), substream(5, "beta", "taskmix"))
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
     # consecutive calls continue one sequence of draws
     rng = substream(5, "beta", "taskmix")
-    first, rest = (taskmix_synthesize(episodes, n, MixConfig(), rng) for n in (2, 1))
+    first, rest = (taskmix_synthesize(tasks, rows, n, MixConfig(), rng) for n in (2, 1))
     assert np.array_equal(np.concatenate([first.x, rest.x]), a.x)
     assert np.array_equal(np.concatenate([first.w, rest.w]), a.w)
 

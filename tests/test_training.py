@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,25 @@ def test_meta_step_results_do_not_depend_on_group_size(augmentation, grad_mode, 
             stats.append(json.dumps(record))
         runs.append((params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t, stats))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_meta_step_peak_memory_stays_below_the_step_batch_stack():
+    # a step keeps its batches as row indices and gathers a group's batches
+    # when the group runs, so it never holds the features of every batch at once
+    ds = tiny_dataset(seed=26, n_train_tasks=40, dim=64)
+    cfg = tiny_config(meta={"augmentation": "taskmix", "batch_size": 128})
+    tasks = ds.meta_train_tasks
+    theta = initial_params(ds, cfg, 0)
+    adam = AdamState.init(theta.flat)
+    stack_bytes = (len(tasks) * (cfg.meta.inner_steps + 1) * cfg.meta.batch_size * ds.dim
+                   * tasks[0].features.itemsize)
+    tracemalloc.start()
+    try:
+        meta_step(theta, adam, tasks, cfg, StreamBundle(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def test_exact_metamix_with_unit_coefficient_is_plain_exact(monkeypatch):
