@@ -26,11 +26,16 @@ def macro_f1(true_labels: np.ndarray, predicted: np.ndarray, n_classes: int) -> 
     """
     true_labels = np.asarray(true_labels)
     predicted = np.asarray(predicted)
+
+    def per_class(labels):
+        return np.bincount(labels, minlength=n_classes)[:n_classes]
+
+    tps = per_class(true_labels[predicted == true_labels])
+    fps = per_class(predicted) - tps
+    fns = per_class(true_labels) - tps
     total = 0.0
     for c in range(n_classes):
-        tp = float(np.sum((predicted == c) & (true_labels == c)))
-        fp = float(np.sum((predicted == c) & (true_labels != c)))
-        fn = float(np.sum((predicted != c) & (true_labels == c)))
+        tp, fp, fn = float(tps[c]), float(fps[c]), float(fns[c])
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         if precision + recall == 0.0:

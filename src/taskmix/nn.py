@@ -189,19 +189,43 @@ def weighted_ce(
 # ---------------------------------------------------------------------------
 
 
-def _prelu_derivative(slope: np.ndarray, pos: np.ndarray):
-    """dh/dz from pos = z > 0. At z == 0 the slope applies, as it does below zero."""
-    act = _rows(slope) * ~pos
+def _prelu_derivative(slope: np.ndarray, pos: np.ndarray, out=None):
+    """dh/dz from pos = z > 0, in out if given. At z == 0 the slope applies, as
+    it does below zero."""
+    act = np.multiply(_rows(slope), ~pos, out=out)
     act += pos
     return act
 
 
 def _tangent_weight_grad(r_d, h, d, r_h, out) -> None:
     """out = r_d.T @ h + d.T @ r_h, a weight's HVP term; r_h None is a zero tangent."""
-    if r_h is None:
-        np.matmul(r_d.mT, h, out=out)
-    else:
-        np.add(r_d.mT @ h, d.mT @ r_h, out=out)
+    np.matmul(r_d.mT, h, out=out)
+    if r_h is not None:
+        out += d.mT @ r_h
+
+
+def _tangent_forward(layers, v_layers, hs, poss, negs):
+    """The direction's tangent through the neck, from _forward_cache's arrays.
+
+    Returns (r_hs, r_zms): r_hs[k] is layer k's input tangent, the last
+    layer's output tangent last; the input's own is zero, None, so its
+    products are skipped. r_zms[k] is layer k's tangent preactivation masked
+    to z <= 0, the only form of it the reverse pass reads. Its own function,
+    so that no loop name keeps the last layer's temporaries alive after it.
+    """
+    r_hs, r_zms = [None], []
+    for (weight, _, slope), (v_w, v_b, v_s), h, pos, neg in zip(
+            layers, v_layers, hs, poss, negs):
+        rz = h @ v_w.mT
+        if r_hs[-1] is not None:
+            rz += r_hs[-1] @ weight.mT
+        rz += _rows(v_b)
+        r_h = _prelu_derivative(slope, pos)
+        r_h *= rz
+        r_h += neg * _rows(v_s)
+        r_hs.append(r_h)
+        r_zms.append(np.multiply(rz, ~pos, out=rz))
+    return r_hs, r_zms
 
 
 def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
@@ -213,6 +237,15 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     run beside the reverse pass, which then skips the gradient itself. PReLU
     is piecewise linear, so the tangent of its derivative vanishes almost
     everywhere; the slope parameter's own tangent still flows.
+
+    Each layer keeps only what its reverse step reads, and each array is
+    dropped once it is spent. The forward pass keeps a layer's input h, its
+    mask z > 0 and min(z, 0). The tangent pass adds the layer's output
+    tangent (the next layer's input tangent) and its tangent preactivation
+    masked to z <= 0. The reverse step builds its terms in those spent
+    buffers and recomputes the PReLU derivative from the mask. Every product
+    keeps its operands or swaps a commutative pair, and every sum keeps its
+    order, so the in-place forms give the same bits as fresh temporaries.
 
     With a unit axis (params [G, P], batch x [G, B, D]; see the module
     docstring) loss is [G] and out is [G, P]; params may be a broadcast view.
@@ -228,22 +261,15 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     out = np.empty(params.flat.shape, params.flat.dtype)
     out_layers, (out_head_w, out_head_b) = params.layout.views(out)
 
+    # Each layer's cached arrays are dropped once its gradient is taken, and
+    # the reverse pass works in place, so a stack of units holds few
+    # activation-sized arrays at once.
     if direction is None:
-        np.matmul(delta.mT, hs[-1], out=out_head_w)
+        np.matmul(delta.mT, hs.pop(), out=out_head_w)
         delta.sum(axis=-2, out=out_head_b)
     else:
         v_layers, (v_head_w, v_head_b) = params.layout.views(direction)
-        # Tangent forward pass. The input's tangent is zero (None in r_hs), so
-        # its products are skipped.
-        acts = [_prelu_derivative(slope, pos) for (_, _, slope), pos in zip(layers, poss)]
-        r_hs, r_zs = [None], []
-        for k, (v_w, v_b, v_s) in enumerate(v_layers):
-            rz = hs[k] @ v_w.mT
-            if r_hs[-1] is not None:
-                rz += r_hs[-1] @ layers[k][0].mT
-            rz += _rows(v_b)
-            r_zs.append(rz)
-            r_hs.append(acts[k] * rz + negs[k] * _rows(v_s))
+        r_hs, r_zms = _tangent_forward(layers, v_layers, hs, poss, negs)
         r_logits = hs[-1] @ v_head_w.mT
         if r_hs[-1] is not None:
             r_logits += r_hs[-1] @ head_w.mT
@@ -252,14 +278,11 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
         # softmax output moves: Rp = p * (Ru - <p, Ru>).
         rp = p * (r_logits - (p * r_logits).sum(axis=-1, keepdims=True))
         r_delta = (weight_mass * rp) / x.shape[-2]
-        _tangent_weight_grad(r_delta, hs[-1], delta, r_hs[-1], out_head_w)
+        _tangent_weight_grad(r_delta, hs.pop(), delta, r_hs.pop(), out_head_w)
         r_delta.sum(axis=-2, out=out_head_b)
-        rd = r_delta @ head_w + delta @ v_head_w
+        rd = r_delta @ head_w
+        rd += delta @ v_head_w
     d = delta @ head_w
-    # Each layer's cached arrays are dropped once its gradient is taken, and
-    # the gradient pass works in place, so a stack of units holds few
-    # activation-sized arrays at once.
-    del hs[-1]
 
     for k in range(len(layers) - 1, -1, -1):
         (weight, _, slope), (o_w, o_b, o_s) = layers[k], out_layers[k]
@@ -271,15 +294,29 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
             np.matmul(dz.mT, h, out=o_w)
             dz.sum(axis=-2, out=o_b)
         else:
-            act = acts[k]
-            dz = d * act
             v_w, _, v_s = v_layers[k]
-            r_dz = rd * act + d * (_rows(v_s) * ~pos)
-            (rd * neg + d * (r_zs[k] * ~pos)).sum(axis=-2, out=o_s)
-            _tangent_weight_grad(r_dz, h, dz, r_hs[k], o_w)
+            rzm = r_zms.pop()
+            # slope: sum of rd * min(z, 0) + d * (tangent z where z <= 0)
+            rzm *= d
+            neg *= rd
+            neg += rzm
+            neg.sum(axis=-2, out=o_s)
+            # r_dz = rd * act + d * (slope tangent where z <= 0), in rd
+            np.multiply(_rows(v_s), ~pos, out=rzm)
+            rzm *= d
+            act = _prelu_derivative(slope, pos, out=neg)
+            r_dz = rd
+            r_dz *= act
+            r_dz += rzm
+            del rzm, rd
+            dz = act
+            dz *= d
+            _tangent_weight_grad(r_dz, h, dz, r_hs.pop(), o_w)
             r_dz.sum(axis=-2, out=o_b)
             if k:
-                rd = r_dz @ weight + dz @ v_w
+                rd = r_dz @ weight
+                rd += dz @ v_w
+            del r_dz
         if k:  # the adjoint of the input itself is never needed
             d = dz @ weight
     return loss, out
@@ -320,5 +357,7 @@ def backprop_through_trace(grads: np.ndarray, visited: list[ModelParams], suppor
     """
     g = grads
     for params, batch in zip(reversed(visited[:-1]), reversed(support_batches)):
-        g = g - lr * loss_hvp(params, batch, g)
+        step = loss_hvp(params, batch, g)
+        step *= lr
+        g = np.subtract(g, step, out=step)
     return g

@@ -53,6 +53,15 @@ def test_synth_rejects_unknown_preset(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("scale", ["0", "1.5", "0.001"])
+def test_synth_rejects_a_scale_outside_the_budget_or_too_small(tmp_path, scale):
+    # (0, 1] is preset's range; 0.001 leaves the long corpus 7 rows a task,
+    # fewer than its splits need
+    assert main(["synth", "--preset", "long", "--scale", scale,
+                 "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+
 def csv_text(rows):
     return "\n".join(["label,f0,f1"] + rows) + "\n"
 

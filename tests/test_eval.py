@@ -65,6 +65,11 @@ def test_macro_f1_absent_classes_count_as_zero():
     assert macro_f1(y_true, y_pred, 2) == pytest.approx(1.0)
     # a third class that never occurs drags the mean to 2/3
     assert macro_f1(y_true, y_pred, 3) == pytest.approx(2.0 / 3.0)
+    # a class between others that is never true and never predicted counts
+    # as zero too, exactly as the confusion-matrix oracle scores it
+    y_true, y_pred = np.array([0, 2, 2, 3, 0]), np.array([0, 2, 3, 3, 2])
+    assert macro_f1(y_true, y_pred, 4) == oracle_macro_f1(list(y_true), list(y_pred), 4)
+    assert macro_f1(y_true, y_pred, 4) == pytest.approx((2.0 / 3.0 + 0.0 + 0.5 + 2.0 / 3.0) / 4.0)
 
 
 def constant_model(dim, width, bias=None):

@@ -5,6 +5,8 @@ all checked against central finite differences in 64-bit, which is an
 implementation-independent oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,33 @@ def test_stacked_calls_equal_their_slices_bit_for_bit(dims):
             assert all(np.array_equal(a[g], b)
                        for stack_layer, layer in zip(stack_layers, layers)
                        for a, b in zip(stack_layer, layer))
+
+
+@pytest.mark.parametrize("units", [1, 2])
+def test_hvp_working_set_stays_near_ten_activations(units):
+    # per layer the HVP keeps only what its reverse step reads (input, mask,
+    # min(z, 0), output tangent, masked tangent preactivation) and builds its
+    # terms in spent buffers: about 10 arrays of [G, B, 128] float32 above
+    # its inputs at this shape, against about 16 with whole tangent lists
+    dims, b = (32, 128, 128, 5), 256
+    rng = np.random.default_rng(3)
+    params = init_params(dims, rng)
+    batches = [random_batch(60 + g, b, dims[0], dims[-1], dtype=np.float32)
+               for g in range(units)]
+    direction = rng.standard_normal((units, params.layout.size)).astype(np.float32)
+    if units == 1:
+        batch, direction = batches[0], direction[0]
+    else:
+        batch = stacked(*batches)
+        params = params.like(np.broadcast_to(params.flat, (units, params.layout.size)))
+    activation_bytes = units * b * dims[1] * 4
+    tracemalloc.start()
+    try:
+        loss_hvp(params, batch, direction)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * activation_bytes
 
 
 def test_trace_unroll_quadratic_closed_form(monkeypatch):
