@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +30,14 @@ from .config import (
     set_dotted,
     to_dict,
 )
-from .data import ROLES, load_dataset, read_csv_features, write_dataset, write_task_file
+from .data import (
+    ROLES,
+    load_dataset,
+    read_csv_features,
+    write_dataset,
+    write_task_file,
+    write_text_atomic,
+)
 from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
 from .evaluation import read_cell, render_report, run_method, summarize, train_phase
 from .nn import ModelParams
@@ -59,6 +65,8 @@ def _read_config(name: str) -> dict:
         raise ConfigError(f"config file not found: {name}")
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{name}: cannot read config file ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -105,33 +113,35 @@ def _params_to_jsonable(params: ModelParams) -> dict:
     }
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write to a temp file in the same directory, then rename it over path:
-    an interrupted run leaves the old file or none, never a truncated one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
+    except OSError as exc:  # a directory, say
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _output_dir(path) -> Path:
+    """path as a directory, made with its parents if missing. A path that
+    cannot be one (a file is in the way) is a configuration error."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make output directory ({exc.strerror})") from exc
+    return path
 
 
 def cmd_synth(args) -> int:
     spec = preset(args.preset, args.scale)
     spec.seed = args.seed
     dataset = generate(spec)
-    manifest = write_dataset(dataset, args.out)
+    manifest = write_dataset(dataset, _output_dir(args.out))
     print(manifest)
     return 0
 
@@ -140,8 +150,7 @@ def cmd_convert(args) -> int:
     if args.task_id in ("", ".", "..") or Path(args.task_id).name != args.task_id:
         raise ConfigError(f"--id {args.task_id!r} must be a plain file name")
     features, labels, n_classes = read_csv_features(args.csv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
     if manifest_path.exists():
@@ -168,8 +177,7 @@ def cmd_convert(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(_require(cfg, "dataset"))
-    out = Path(_require(cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(_require(cfg, "out"))
     seed = cfg.seeds[0]
     model = train_phase(dataset, cfg.method, cfg, seed, out / "history.jsonl")
     summary = {
@@ -189,8 +197,8 @@ def cmd_train(args) -> int:
 def _publish_report(out: Path, summaries) -> None:
     """Render the report, write report.txt and report.json, print the table."""
     text, doc = render_report(summaries)
-    _write_text(out / "report.txt", text)
-    _write_text(out / "report.json", doc)
+    write_text_atomic(out / "report.txt", text)
+    write_text_atomic(out / "report.json", doc)
     print(text, end="")
 
 
@@ -217,15 +225,13 @@ def cmd_experiment(args) -> int:
     cfg = _resolve_config(args, methods)
     _reject_repeats("seeds", cfg.seeds)
     dataset = load_dataset(_require(cfg, "dataset"))
-    out = Path(_require(cfg, "out"))
+    out = _output_dir(_require(cfg, "out"))
     results = out / "results"
     summaries = []
     for method in methods:
         records = []
         for seed in cfg.seeds:
-            cell_dir = results / method
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            cell = cell_dir / f"seed_{seed}.json"
+            cell = _output_dir(results / method) / f"seed_{seed}.json"
             if cell.exists():
                 record = read_cell(_read_json(cell), cell)[1]
             else:

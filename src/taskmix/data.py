@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -247,6 +248,8 @@ def load_dataset(manifest_path) -> Dataset:
         raise DataError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
+    except OSError as exc:  # a directory, say
+        raise DataError(f"{manifest_path}: cannot read manifest ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or "tasks" not in manifest:
@@ -335,8 +338,19 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
         entries.append(entry)
     manifest = {"dim": dataset.dim, "tasks": entries}
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write to a temp file in the same directory, then rename it over path:
+    an interrupted run leaves the old file or none, never a truncated one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -344,20 +344,25 @@ def loss_hvp(params: ModelParams, batch, direction: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def backprop_through_trace(grads: np.ndarray, visited: list[ModelParams], support_batches,
+def backprop_through_trace(grads: np.ndarray, starts: list[ModelParams], support_batches,
                            lr: float) -> np.ndarray:
     """Pull query-loss gradients at the adapted parameters back to theta.
 
-    visited is what inner_adapt returns: theta, then the parameters after
-    each SGD step on support_batches at lr, the adapted ones last. Each step
+    starts are the parameters each SGD step on support_batches at lr started
+    from: what inner_adapt returns, less its last entry (the adapted
+    parameters, which the pullback never reads). Each step
     theta_j = theta_{j-1} - lr * g(theta_{j-1}) contributes a Jacobian factor
     (I - lr * H_j); applying the factors in reverse order turns the gradient
     at the adapted parameters into the exact meta-gradient at theta. With a
-    unit axis, grads, visited and the batches are stacks of G units.
+    unit axis, grads, starts and the batches are stacks of G units.
+
+    The pullback owns grads: it subtracts each step's term from it in place,
+    drops the term, and returns grads, so every HVP runs beside just the one
+    gradient being pulled back. Pass a copy to keep the caller's array.
     """
-    g = grads
-    for params, batch in zip(reversed(visited[:-1]), reversed(support_batches)):
-        step = loss_hvp(params, batch, g)
+    for params, batch in zip(reversed(starts), reversed(support_batches)):
+        step = loss_hvp(params, batch, grads)
         step *= lr
-        g = np.subtract(g, step, out=step)
-    return g
+        grads -= step
+        del step
+    return grads

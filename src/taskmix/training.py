@@ -7,10 +7,11 @@ train split). The step keeps the draws as row indices and gathers a group's
 batches from the tasks' arrays when the group runs, so it never holds the
 features of all its batches at once. Each task unit is adapted by
 `inner_adapt`, which returns the parameters it visited; under grad_mode
-exact the query gradient is pulled back through that list
-(`nn.backprop_through_trace`). The units run in consecutive groups of up to
-`group_size` units, each group as one stack through the unit axis of `nn`
-(see README "Parameter layout"); results do not depend on the group size.
+exact the query gradient is pulled back through that list, less the adapted
+parameters (`nn.backprop_through_trace`). The units run in consecutive
+groups of up to `group_size` units, each group as one stack through the
+unit axis of `nn` (see README "Parameter layout"); results do not depend on
+the group size.
 Augmentation hooks plug in here:
 
   * metamix: each task also contributes the gradient of a mixed query
@@ -155,6 +156,7 @@ def inner_adapt(params: ModelParams, support_batches, lr: float,
     for batch in support_batches:
         _, grads = backward(visited[-1], batch)
         visited.append(params.like(sgd_step(visited[-1].flat, grads, lr)))
+        del grads  # spent: not held through the next step's backward
         if not trace:
             del visited[:-1]
     return visited
@@ -182,23 +184,29 @@ def group_gradient(theta: ModelParams, support, query: Batch, cfg: RunConfig, me
     generator per unit), a unit's loss and gradient are the mean of its
     plain and a mixed query's, both taken at its adapted parameters. The
     gradient is used as is under first_order; under exact it is pulled back
-    through the visited parameters, once, after the averaging: the pullback
-    is linear, so this equals the mean of the two pulled-back gradients up
-    to rounding.
+    once, after the averaging: the pullback is linear, so this equals the
+    mean of the two pulled-back gradients up to rounding.
+
+    Every array is dropped at its last read, since under exact the pullback
+    sets the group's peak memory: the mixed batch and gradient once averaged
+    in, and the adapted parameters once both query gradients are taken. The
+    pullback gets only the parameters each support step started from, and it
+    owns the query gradient it is handed, which it accumulates into in place.
     """
     lr = cfg.meta.inner_lr
     exact = cfg.meta.grad_mode == EXACT
     start = theta.like(np.broadcast_to(theta.flat, (query.x.shape[0], theta.flat.size)))
     visited = inner_adapt(start, support, lr, trace=exact)
-    loss, grads = backward(visited[-1], query)
+    adapted = visited.pop()
+    loss, grads = backward(adapted, query)
     if metamix_rngs is not None:
-        # the mixed batch is not kept and the average is taken in place, since
-        # the pullback below sets the group's peak memory
-        mixed_loss, mixed_grads = backward(visited[-1],
+        mixed_loss, mixed_grads = backward(adapted,
                                            metamix_augment(query, cfg.mix, metamix_rngs))
         loss = 0.5 * (loss + mixed_loss)
         grads += mixed_grads
+        del mixed_grads
         grads *= 0.5
+    del adapted
     if exact:
         grads = backprop_through_trace(grads, visited, support, lr)
     return loss, grads
@@ -230,7 +238,9 @@ def meta_step(
     first, then the synthetic ones, each in groups of up to group_size
     units; a group's batches are gathered, and a synthetic group's blended,
     when it runs. Losses and gradients are summed unit by unit in that
-    order, so the group size never moves a result.
+    order, so the group size never moves a result. A group's batches,
+    losses and gradients are dropped once summed, before the next group
+    gathers its batches, so a step holds one group's arrays at a time.
     """
     step = adam_state.t
     aug = cfg.meta.augmentation
@@ -265,6 +275,8 @@ def meta_step(
                 total_grads = row.copy()
             else:
                 total_grads += row
+        # spent: the next group gathers its batches without this one's
+        del episodes, batches, losses, grads, row
 
     lr = cosine_lr(step, cfg.schedule)
     adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -587,8 +588,6 @@ def test_convert_with_malformed_manifest_is_a_data_error(tmp_path, capsys):
 
 
 def test_interrupted_cell_write_leaves_no_cell_behind(tmp_path, monkeypatch):
-    import taskmix.cli as cli
-
     manifest = write_tiny_dataset(tmp_path, seed=43)
     cfg = write_config(tmp_path)
     reference = tmp_path / "ref"
@@ -598,7 +597,7 @@ def test_interrupted_cell_write_leaves_no_cell_behind(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     out = tmp_path / "exp"
-    monkeypatch.setattr(cli.os, "replace", interrupted)
+    monkeypatch.setattr(os, "replace", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0"))
     monkeypatch.undo()
@@ -770,3 +769,74 @@ def test_converted_tasks_too_small_to_split_are_a_data_error(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert train_exit_code(tmp_path, out / "manifest.json") == 3
     assert "empty validation split" in capsys.readouterr().err
+
+
+# A path of the wrong kind on the file system: one `error:` line naming it.
+
+
+def assert_one_error_line(capsys, path: Path) -> None:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_dataset_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    dataset = tmp_path / "data"
+    dataset.mkdir()
+    method = ["--method", "maml"] if command == "train" else ["--methods", "vanilla"]
+    argv = [command, "--config", str(cfg), "--dataset", str(dataset),
+            "--out", str(tmp_path / "out"), *method]
+    assert main(argv) == 3
+    assert_one_error_line(capsys, dataset)
+
+
+@pytest.mark.parametrize("command", ["report", "experiment"])
+def test_result_cell_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
+    out = tmp_path / "exp"
+    cell = out / "results" / "vanilla" / "seed_0.json"
+    cell.mkdir(parents=True)
+    if command == "report":
+        argv = ["report", "--in", str(out)]
+    else:  # a resumed matrix reads the cells it finds
+        argv = experiment_argv(write_tiny_dataset(tmp_path, seed=44), write_config(tmp_path),
+                               out, "vanilla", seeds="0")
+    assert main(argv) == 3
+    assert_one_error_line(capsys, cell)
+
+
+def out_argv(command: str, tmp_path: Path, out: Path) -> list[str]:
+    if command == "synth":
+        return ["synth", "--preset", "long", "--out", str(out)]
+    if command == "convert":
+        csv = tmp_path / "task.csv"
+        csv.write_text(csv_text(["0,1.0,2.0", "1,3.0,4.0"]))
+        return ["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
+                "--out", str(out)]
+    manifest, cfg = write_tiny_dataset(tmp_path, seed=45), write_config(tmp_path)
+    if command == "train":
+        return ["train", "--config", str(cfg), "--dataset", str(manifest), "--out", str(out),
+                "--method", "maml"]
+    return experiment_argv(manifest, cfg, out, "vanilla", seeds="0")
+
+
+@pytest.mark.parametrize("command", ["synth", "convert", "train", "experiment"])
+def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(out_argv(command, tmp_path, out)) == 2
+    assert_one_error_line(capsys, out)
+    assert out.read_text() == "kept\n"
+
+
+def test_convert_with_a_directory_as_manifest_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "ds"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(out_argv("convert", tmp_path, out)) == 3
+    assert_one_error_line(capsys, out / "manifest.json")
+    assert not (out / "t0.tmxf").exists()

@@ -1,6 +1,7 @@
 """Task model, binary format, splitting, sampling, and CSV ingestion."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ def test_write_load_roundtrip(tmp_path):
         for name in ("train", "validation", "test"):
             assert np.array_equal(a.splits[name], b.splits[name])
         assert np.array_equal(a.class_weights, b.class_weights)
+
+
+def test_interrupted_manifest_write_leaves_no_manifest_behind(tmp_path, monkeypatch):
+    # the manifest goes through a temp file and a rename, as every CLI output does
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    out = tmp_path / "ds"
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_dataset(tiny_dataset(seed=3), out)
+    assert not any(path.suffix != ".tmxf" for path in out.iterdir())
 
 
 def test_load_dataset_auto_split_path(tmp_path):

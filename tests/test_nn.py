@@ -331,10 +331,12 @@ def test_trace_unroll_quadratic_closed_form(monkeypatch):
     layout = layout_for((1, 1))
     theta = ModelParams(np.array([1.0, 0.0]), layout)
     grads = np.array([1.6, 0.0])
-    out1 = backprop_through_trace(grads, [theta] * 2, [None], 0.1)
+    # the pullback accumulates into the gradient it is handed: keep grads for
+    # the second call
+    out1 = backprop_through_trace(grads.copy(), [theta], [None], 0.1)
     assert layout.views(out1)[1][0][0, 0] == pytest.approx(1.28, rel=1e-12)
 
-    out2 = backprop_through_trace(grads, [theta] * 3, [None] * 2, 0.1)
+    out2 = backprop_through_trace(grads, [theta] * 2, [None] * 2, 0.1)
     assert layout.views(out2)[1][0][0, 0] == pytest.approx(1.024, rel=1e-12)
 
 

@@ -155,6 +155,18 @@ def test_meta_step_results_do_not_depend_on_group_size(augmentation, grad_mode, 
     assert runs[0] == runs[1] == runs[2]
 
 
+def _step_peak(theta, tasks, cfg) -> int:
+    """tracemalloc peak of one meta_step from a fresh Adam state."""
+    adam = AdamState.init(theta.flat)
+    tracemalloc.start()
+    try:
+        meta_step(theta, adam, tasks, cfg, StreamBundle(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_meta_step_peak_memory_stays_below_the_step_batch_stack():
     # a step keeps its batches as row indices and gathers a group's batches
     # when the group runs, so it never holds the features of every batch at once
@@ -162,16 +174,44 @@ def test_meta_step_peak_memory_stays_below_the_step_batch_stack():
     cfg = tiny_config(meta={"augmentation": "taskmix", "batch_size": 128})
     tasks = ds.meta_train_tasks
     theta = initial_params(ds, cfg, 0)
-    adam = AdamState.init(theta.flat)
     stack_bytes = (len(tasks) * (cfg.meta.inner_steps + 1) * cfg.meta.batch_size * ds.dim
                    * tasks[0].features.itemsize)
-    tracemalloc.start()
-    try:
-        meta_step(theta, adam, tasks, cfg, StreamBundle(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < stack_bytes
+    assert _step_peak(theta, tasks, cfg) < stack_bytes
+
+
+def test_exact_metamix_meta_step_drops_each_vector_at_its_last_read(monkeypatch):
+    # one unit per group, a wide model and small batches, so parameter-sized
+    # vectors set the peak: the step's gradient total, the start of the
+    # second inner step, the gradient being pulled back and one HVP's output,
+    # plus about one vector of activations. The previous group's gradient,
+    # the mixed query gradient, the adapted parameters, the plain query
+    # gradient and a spent HVP output are dead by then; any one of them
+    # would break the bound.
+    import taskmix.training as training
+
+    ds = tiny_dataset(seed=27, dim=16)
+    cfg = tiny_config(model={"hidden": [256, 256]},
+                      meta={"augmentation": "metamix", "grad_mode": "exact"})
+    theta = initial_params(ds, cfg, 0)
+    monkeypatch.setattr(training, "GROUP_BUDGET", cfg.meta.batch_size * 256)
+    assert training.group_size(theta.layout, cfg.meta.batch_size) == 1
+    assert _step_peak(theta, ds.meta_train_tasks, cfg) < 6.5 * theta.flat.nbytes
+
+
+def test_first_order_meta_step_holds_one_group_of_episodes(monkeypatch):
+    # two groups of two units with wide features and a small model, so the
+    # group's gathered batches set the peak: the next group gathers its own
+    # only after the previous group's are dropped
+    import taskmix.training as training
+
+    ds = tiny_dataset(seed=28, n_train_tasks=4, dim=128)
+    cfg = tiny_config(meta={"batch_size": 128})
+    theta = initial_params(ds, cfg, 0)
+    monkeypatch.setattr(training, "GROUP_BUDGET", 2 * cfg.meta.batch_size * ds.dim)
+    assert training.group_size(theta.layout, cfg.meta.batch_size) == 2
+    episode_bytes = (2 * (cfg.meta.inner_steps + 1) * cfg.meta.batch_size
+                     * (ds.dim + ds.c_max) * 4)
+    assert _step_peak(theta, ds.meta_train_tasks, cfg) < 1.5 * episode_bytes
 
 
 def test_exact_metamix_with_unit_coefficient_is_plain_exact(monkeypatch):
