@@ -34,6 +34,7 @@ from .data import (
     ROLES,
     load_dataset,
     read_csv_features,
+    read_json,
     write_dataset,
     write_task_file,
     write_text_atomic,
@@ -63,12 +64,7 @@ def _read_config(name: str) -> dict:
         if name in PRESETS:
             return copy.deepcopy(PRESETS[name])
         raise ConfigError(f"config file not found: {name}")
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:  # a directory, say
-        raise ConfigError(f"{name}: cannot read config file ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
+    data = read_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: config must be a JSON object")
     return data
@@ -117,15 +113,6 @@ def _write_json(path: Path, payload) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:  # a directory, say
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def _output_dir(path) -> Path:
     """path as a directory, made with its parents if missing. A path that
     cannot be one (a file is in the way) is a configuration error."""
@@ -154,7 +141,7 @@ def cmd_convert(args) -> int:
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
     if manifest_path.exists():
-        manifest = _read_json(manifest_path)
+        manifest = read_json(manifest_path)
         tasks = manifest.get("tasks", []) if isinstance(manifest, dict) else None
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
@@ -194,11 +181,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _publish_report(out: Path, summaries) -> None:
-    """Render the report, write report.txt and report.json, print the table."""
-    text, doc = render_report(summaries)
-    write_text_atomic(out / "report.txt", text)
-    write_text_atomic(out / "report.json", doc)
+def _read_cells(base: Path) -> dict:
+    """{(method, seed): seed record} of every result cell under base/results,
+    each checked by read_cell."""
+    cells = {}
+    for path in sorted((base / "results").glob("*/seed_*.json")):
+        method, record = read_cell(read_json(path), path)
+        cells[method, record["seed"]] = record
+    return cells
+
+
+def _publish_report(base: Path, cells: dict) -> None:
+    """Summarize each method's records in seed order, write report.txt and
+    report.json, print the table."""
+    if not cells:
+        raise DataError(f"no result cells found under {base / 'results'}")
+    by_method: dict[str, list[dict]] = {}
+    for (method, _), record in sorted(cells.items()):
+        by_method.setdefault(method, []).append(record)
+    text, doc = render_report([summarize(m, records) for m, records in by_method.items()])
+    write_text_atomic(base / "report.txt", text)
+    write_text_atomic(base / "report.json", doc)
     print(text, end="")
 
 
@@ -226,42 +229,27 @@ def cmd_experiment(args) -> int:
     _reject_repeats("seeds", cfg.seeds)
     dataset = load_dataset(_require(cfg, "dataset"))
     out = _output_dir(_require(cfg, "out"))
-    results = out / "results"
-    summaries = []
+    cells = _read_cells(out)  # every existing cell is checked before any training
     for method in methods:
-        records = []
         for seed in cfg.seeds:
-            cell = _output_dir(results / method) / f"seed_{seed}.json"
-            if cell.exists():
-                record = read_cell(_read_json(cell), cell)[1]
-            else:
-                try:
-                    record = run_method(dataset, method, cfg, seed)
-                except TaskMixError as exc:
-                    exc.args = (f"method {method!r}, seed {seed}: {exc}",)
-                    raise
-                _write_json(cell, {"method": method, **record})
-            records.append(record)
-        # in seed order, as `report` reads them back from the cells
-        summaries.append(summarize(method, sorted(records, key=lambda r: r["seed"])))
+            if (method, seed) in cells:
+                continue
+            cell = _output_dir(out / "results" / method) / f"seed_{seed}.json"
+            try:
+                record = run_method(dataset, method, cfg, seed)
+            except TaskMixError as exc:
+                exc.args = (f"method {method!r}, seed {seed}: {exc}",)
+                raise
+            _write_json(cell, {"method": method, **record})
+            cells[method, seed] = record
     _write_json(out / "config.json", to_dict(cfg))
-    _publish_report(out, summaries)
+    _publish_report(out, cells)
     return 0
 
 
 def cmd_report(args) -> int:
     base = Path(args.in_dir)
-    cells = sorted((base / "results").glob("*/seed_*.json"))
-    if not cells:
-        raise DataError(f"no result cells found under {base / 'results'}")
-    by_method: dict[str, list[dict]] = {}
-    for cell in cells:
-        method, record = read_cell(_read_json(cell), cell)
-        by_method.setdefault(method, []).append(record)
-    _publish_report(base, [
-        summarize(method, sorted(records, key=lambda r: r["seed"]))
-        for method, records in sorted(by_method.items())
-    ])
+    _publish_report(base, _read_cells(base))
     return 0
 
 

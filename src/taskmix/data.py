@@ -246,12 +246,7 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as exc:  # a directory, say
-        raise DataError(f"{manifest_path}: cannot read manifest ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or "tasks" not in manifest:
         raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
 
@@ -340,6 +335,17 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
     manifest_path = out_dir / "manifest.json"
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
+
+
+def read_json(path: Path, error=DataError):
+    """The parsed JSON of the file at path. error (an exception class) naming
+    path if the file cannot be read or is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:  # a directory, say
+        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: invalid JSON ({exc})") from exc
 
 
 def write_text_atomic(path: Path, text: str) -> None:

@@ -66,7 +66,9 @@ def summarize(method: str, records: list[dict]) -> dict:
     return {"method": method, "mean": mean, "std": std, "seeds": records}
 
 
-_CELL_FIELDS = {"method": str, "seed": int, "average_macro_f1": (int, float), "per_task": dict}
+# exact types, as json.loads makes them: a bool, an int subclass, is no seed or score
+_CELL_FIELDS = {"method": (str,), "seed": (int,), "average_macro_f1": (int, float),
+                "per_task": (dict,)}
 
 
 def read_cell(cell, path: Path) -> tuple[str, dict]:
@@ -78,9 +80,8 @@ def read_cell(cell, path: Path) -> tuple[str, dict]:
     score or a score outside [0, 1] (json.loads parses NaN and Infinity).
     """
     cell = cell if isinstance(cell, dict) else {}
-    bad = [k for k, tp in _CELL_FIELDS.items()
-           if not isinstance(cell.get(k), tp) or isinstance(cell.get(k), bool)]
-    if bad or not all(isinstance(v, (int, float)) for v in cell["per_task"].values()):
+    bad = [k for k, types in _CELL_FIELDS.items() if type(cell.get(k)) not in types]
+    if bad or not all(type(v) in (int, float) for v in cell["per_task"].values()):
         raise DataError(f"{path}: result cell lacks or mistypes {', '.join(bad) or 'per_task'}")
     method, seed = cell["method"], cell["seed"]
     if (path.parent.name, path.name) != (method, f"seed_{seed}.json"):

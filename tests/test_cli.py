@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,28 @@ def test_experiment_resumes_existing_cells(tmp_path):
     assert (out / "results" / "mtl" / "seed_0.json").exists()
 
 
+def test_experiment_report_covers_the_cells_of_earlier_runs(tmp_path):
+    manifest = write_tiny_dataset(tmp_path, seed=37)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    for methods in ("vanilla", "mtl"):
+        assert main(experiment_argv(manifest, cfg, out, methods, seeds="0")) == 0
+    written = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
+    assert sorted(e["method"] for e in json.loads(written["report.json"])) == ["mtl", "vanilla"]
+    assert main(["report", "--in", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in written} == written
+
+
+def test_experiment_checks_every_cell_before_training(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=37)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    cell = write_cell(out, "mtl/seed_0.json", '{"method": "mtl", "seed": 0, "average_')
+    assert main(experiment_argv(manifest, cfg, out, "vanilla,mtl", seeds="0")) == 3
+    assert_one_error_line(capsys, cell)
+    assert read_bytes_map(out) == {Path("results/mtl/seed_0.json"): cell.read_bytes()}
+
+
 def test_experiment_rejects_unknown_method(tmp_path, capsys):
     manifest = write_tiny_dataset(tmp_path, seed=38)
     cfg = write_config(tmp_path)
@@ -431,32 +454,6 @@ def test_experiment_with_repeated_seed_or_method_is_a_config_error(
     assert {name: (out / name).read_bytes() for name in original} == original
 
 
-@pytest.mark.parametrize("place", ["vanilla/seed_1.json", "mtl/seed_0.json"])
-def test_report_with_misfiled_cell_is_a_data_error(tmp_path, capsys, place):
-    # a copy of vanilla's seed-0 cell under another seed or another method
-    record = {"method": "vanilla", "seed": 0, "average_macro_f1": 0.5, "per_task": {"t": 0.5}}
-    for name in ("vanilla/seed_0.json", place):
-        cell = tmp_path / "results" / name
-        cell.parent.mkdir(parents=True, exist_ok=True)
-        cell.write_text(json.dumps(record))
-    assert main(["report", "--in", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert str(tmp_path / "results" / place) in err and "misfiled" in err
-    assert not (tmp_path / "report.json").exists()
-
-
-def test_experiment_resume_with_misfiled_cell_is_a_data_error(tmp_path, capsys):
-    manifest = write_tiny_dataset(tmp_path, seed=37)
-    cfg = write_config(tmp_path)
-    out = tmp_path / "exp"
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
-    cells = out / "results" / "vanilla"
-    (cells / "seed_1.json").write_bytes((cells / "seed_0.json").read_bytes())
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0,1")) == 3
-    err = capsys.readouterr().err
-    assert str(cells / "seed_1.json") in err and "misfiled" in err
-
-
 def write_cell(root: Path, place: str, text: str) -> Path:
     cell = root / "results" / place
     cell.parent.mkdir(parents=True, exist_ok=True)
@@ -464,25 +461,58 @@ def write_cell(root: Path, place: str, text: str) -> Path:
     return cell
 
 
+def reading_cells_argv(command: str, tmp_path: Path, out: Path) -> list[str]:
+    """`report --in out`, or a vanilla seed-0 matrix resumed into out: both
+    read and check every cell under out/results before anything else."""
+    if command == "report":
+        return ["report", "--in", str(out)]
+    return experiment_argv(write_tiny_dataset(tmp_path, seed=44), write_config(tmp_path),
+                           out, "vanilla", seeds="0")
+
+
+def assert_bad_cell_exit(capsys, argv, out: Path, cell: Path, *problems) -> None:
+    """Exit 3 with stderr naming the cell and each problem, no report, no cell written."""
+    cells = read_bytes_map(out / "results")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(cell) in err and all(problem in err for problem in problems)
+    assert not (out / "report.json").exists()
+    assert read_bytes_map(out / "results") == cells
+
+
+COMMANDS = ["report", "experiment"]
+
+
+@pytest.mark.parametrize("place", ["vanilla/seed_1.json", "mtl/seed_0.json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_misfiled_cell_is_a_data_error(tmp_path, capsys, command, place):
+    # a copy of vanilla's seed-0 cell under another seed or another method
+    record = {"method": "vanilla", "seed": 0, "average_macro_f1": 0.5, "per_task": {"t": 0.5}}
+    for name in ("vanilla/seed_0.json", place):
+        cell = write_cell(tmp_path, name, json.dumps(record))
+    assert_bad_cell_exit(capsys, reading_cells_argv(command, tmp_path, tmp_path), tmp_path,
+                         cell, "misfiled")
+
+
 # json.loads parses NaN and Infinity, and json.dumps writes them back; an
 # integer too large for a float64 would overflow the report's mean
 @pytest.mark.parametrize("average, score", [
     (math.nan, math.nan), (math.inf, 0.5), (0.5, -math.inf), (0.5, 1.5), (10**400, 0.5),
 ], ids=["nan", "inf", "-inf", "above-1", "huge-int"])
-def test_report_with_score_outside_unit_interval_is_a_data_error(tmp_path, capsys, average,
-                                                                  score):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cell_with_score_outside_unit_interval_is_a_data_error(tmp_path, capsys, command,
+                                                               average, score):
     record = {"method": "vanilla", "seed": 0, "average_macro_f1": average, "per_task": {"t": score}}
     cell = write_cell(tmp_path, "vanilla/seed_0.json", json.dumps(record))
-    assert main(["report", "--in", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert str(cell) in err and "[0, 1]" in err
-    assert not (tmp_path / "report.json").exists()
+    assert_bad_cell_exit(capsys, reading_cells_argv(command, tmp_path, tmp_path), tmp_path,
+                         cell, "[0, 1]")
 
 
 @pytest.mark.parametrize("method, per_task, problem", [
     ("protonet", {"t": 0.5}, "unknown method"),
     ("vanilla", {}, "per-task"),
-], ids=["unknown-method", "no-per-task-score"])
+    ("vanilla", {"t": True}, "mistypes per_task"),
+], ids=["unknown-method", "no-per-task-score", "bool-per-task-score"])
 def test_report_with_unknown_method_or_no_scores_is_a_data_error(
         tmp_path, capsys, method, per_task, problem):
     record = {"method": method, "seed": 0, "average_macro_f1": 0.5, "per_task": per_task}
@@ -491,19 +521,6 @@ def test_report_with_unknown_method_or_no_scores_is_a_data_error(
     err = capsys.readouterr().err
     assert str(cell) in err and problem in err
     assert not (tmp_path / "report.json").exists()
-
-
-def test_experiment_resume_with_non_finite_cell_is_a_data_error(tmp_path, capsys):
-    manifest = write_tiny_dataset(tmp_path, seed=37)
-    cfg = write_config(tmp_path)
-    out = tmp_path / "exp"
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
-    cell = out / "results" / "vanilla" / "seed_0.json"
-    payload = json.loads(cell.read_text())
-    payload["average_macro_f1"] = math.nan
-    cell.write_text(json.dumps(payload))
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 3
-    assert str(cell) in capsys.readouterr().err
 
 
 def test_report_without_cells_is_a_data_error(tmp_path, capsys):
@@ -543,23 +560,11 @@ def test_augmentation_must_match_every_method_run(tmp_path, capsys):
                 + base) == 0
 
 
-def test_experiment_resume_with_truncated_cell_is_a_data_error(tmp_path, capsys):
-    manifest = write_tiny_dataset(tmp_path, seed=42)
-    cfg = write_config(tmp_path)
-    out = tmp_path / "exp"
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 0
-    cell = out / "results" / "vanilla" / "seed_0.json"
-    cell.write_text(cell.read_text()[:20])
-    assert main(experiment_argv(manifest, cfg, out, "vanilla", seeds="0")) == 3
-    assert str(cell) in capsys.readouterr().err
-
-
-def test_report_with_truncated_cell_is_a_data_error(tmp_path, capsys):
-    cell = tmp_path / "results" / "vanilla" / "seed_0.json"
-    cell.parent.mkdir(parents=True)
-    cell.write_text('{"method": "vanilla", "seed": 0, "average_')
-    assert main(["report", "--in", str(tmp_path)]) == 3
-    assert str(cell) in capsys.readouterr().err
+@pytest.mark.parametrize("command", COMMANDS)
+def test_truncated_cell_is_a_data_error(tmp_path, capsys, command):
+    cell = write_cell(tmp_path, "vanilla/seed_0.json", '{"method": "vanilla", "seed": 0, "average_')
+    assert_bad_cell_exit(capsys, reading_cells_argv(command, tmp_path, tmp_path), tmp_path,
+                         cell, "invalid JSON")
 
 
 def test_report_with_cell_missing_seed_is_a_data_error(tmp_path, capsys):
@@ -784,6 +789,16 @@ def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
     assert_one_error_line(capsys, tmp_path)
 
 
+@pytest.mark.parametrize("flag, code", [("--config", 2), ("--dataset", 3)])
+def test_json_file_that_is_not_utf8_is_named(tmp_path, capsys, flag, code):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    argv = ["train", "--config", str(write_config(tmp_path)), "--dataset", str(tmp_path),
+            "--out", str(tmp_path / "run"), flag, str(bad)]  # the last one given wins
+    assert main(argv) == code
+    assert_one_error_line(capsys, bad)
+
+
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_dataset_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path)
@@ -796,17 +811,12 @@ def test_dataset_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     assert_one_error_line(capsys, dataset)
 
 
-@pytest.mark.parametrize("command", ["report", "experiment"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_result_cell_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     out = tmp_path / "exp"
     cell = out / "results" / "vanilla" / "seed_0.json"
     cell.mkdir(parents=True)
-    if command == "report":
-        argv = ["report", "--in", str(out)]
-    else:  # a resumed matrix reads the cells it finds
-        argv = experiment_argv(write_tiny_dataset(tmp_path, seed=44), write_config(tmp_path),
-                               out, "vanilla", seeds="0")
-    assert main(argv) == 3
+    assert main(reading_cells_argv(command, tmp_path, out)) == 3
     assert_one_error_line(capsys, cell)
 
 
@@ -840,3 +850,58 @@ def test_convert_with_a_directory_as_manifest_is_a_data_error(tmp_path, capsys):
     assert main(out_argv("convert", tmp_path, out)) == 3
     assert_one_error_line(capsys, out / "manifest.json")
     assert not (out / "t0.tmxf").exists()
+
+
+# What a mutated cell field becomes: type swaps (bool included), NaN, the
+# infinities, an integer too large for a float64, negatives, in-range scores.
+MUTANT_VALUES = [True, False, None, "0.5", [0.5], {"t": 0.5}, math.nan, math.inf, -math.inf,
+                 10**400, -1, -0.25, 0, 1.0, 0.25]
+
+
+def mutate(rng: random.Random, text: str) -> bytes:
+    """A cell's text with one seeded mutation: a top-level or per_task field
+    replaced, removed or added, the bytes truncated, or one bit flipped."""
+    kind = rng.choice(["replace", "remove", "add", "truncate", "flip"])
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[:rng.randrange(len(raw))]
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    cell = json.loads(text)
+    fields = rng.choice([cell, cell["per_task"]])
+    if kind == "add":
+        fields["extra"] = rng.choice(MUTANT_VALUES)
+    elif kind == "remove":
+        del fields[rng.choice(sorted(fields))]
+    else:
+        fields[rng.choice(sorted(fields))] = rng.choice(MUTANT_VALUES)
+    return json.dumps(cell).encode()
+
+
+def test_mutated_cells_exit_0_or_3_and_report_rebuilds(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=40)
+    out = tmp_path / "exp"
+    resume = experiment_argv(manifest, write_config(tmp_path), out, "vanilla", seeds="0,1")
+    assert main(resume) == 0
+    originals = {cell: cell.read_text() for cell in sorted(out.glob("results/*/*.json"))}
+    rng = random.Random(15)
+    codes = set()
+    for _ in range(200):
+        for cell, text in originals.items():
+            cell.write_text(text)
+        cell = rng.choice(sorted(originals))
+        cell.write_bytes(mutate(rng, originals[cell]))
+        cells = read_bytes_map(out / "results")
+        code = main(["report", "--in", str(out)])
+        assert code in (0, 3)
+        assert main(resume) == code  # one cell reader: a resume never trains here
+        assert read_bytes_map(out / "results") == cells
+        if code == 0:
+            written = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
+            assert main(["report", "--in", str(out)]) == 0
+            assert {name: (out / name).read_bytes() for name in written} == written
+        codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 3}
