@@ -161,12 +161,26 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _write_run(out: Path, cfg: RunConfig, history: list[dict]) -> None:
+    """train's history.jsonl, one JSON line per step record, and config.json."""
+    write_text_atomic(out / "history.jsonl",
+                      "".join(json.dumps(r, sort_keys=True) + "\n" for r in history))
+    _write_json(out / "config.json", to_dict(cfg))
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(_require(cfg, "dataset"))
     out = _output_dir(_require(cfg, "out"))
     seed = cfg.seeds[0]
-    model = train_phase(dataset, cfg.method, cfg, seed, out / "history.jsonl")
+    try:
+        model = train_phase(dataset, cfg.method, cfg, seed)
+    except TrainingDivergedError as exc:
+        # every file left in out describes this run, which made no model
+        for name in ("model.json", "summary.json"):
+            (out / name).unlink(missing_ok=True)
+        _write_run(out, cfg, exc.history)
+        raise
     summary = {
         "method": cfg.method,
         "seed": seed,
@@ -176,7 +190,7 @@ def cmd_train(args) -> int:
     }
     _write_json(out / "model.json", _params_to_jsonable(model.params))
     _write_json(out / "summary.json", summary)
-    _write_json(out / "config.json", to_dict(cfg))
+    _write_run(out, cfg, model.history)
     print(out / "model.json")
     return 0
 
@@ -199,9 +213,9 @@ def _publish_report(base: Path, cells: dict) -> None:
     by_method: dict[str, list[dict]] = {}
     for (method, _), record in sorted(cells.items()):
         by_method.setdefault(method, []).append(record)
-    text, doc = render_report([summarize(m, records) for m, records in by_method.items()])
+    text, ordered = render_report([summarize(m, records) for m, records in by_method.items()])
     write_text_atomic(base / "report.txt", text)
-    write_text_atomic(base / "report.json", doc)
+    _write_json(base / "report.json", ordered)
     print(text, end="")
 
 

@@ -24,8 +24,9 @@ class DataError(TaskMixError):
 
 
 class TrainingDivergedError(TaskMixError):
-    """Loss became non-finite during training; carries the step index."""
+    """Loss became non-finite at a step; carries it and the records before it."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int, message: str, history: list[dict]):
         self.step = step
-        super().__init__(message or f"training diverged (non-finite loss) at step {step}")
+        self.history = history
+        super().__init__(message)

@@ -10,7 +10,6 @@ records aggregate into its report.json entry, {"method", "mean", "std",
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -22,16 +21,15 @@ from .metrics import evaluate_model
 from .training import TrainedModel, finetune, initial_params, meta_train, mtl_train
 
 
-def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int,
-                log_path=None) -> TrainedModel:
+def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> TrainedModel:
     """The training phase of a method: mtl_train, or meta_train with the
     method's augmentation."""
     if method == "mtl":
-        return mtl_train(dataset, cfg, seed, log_path)
+        return mtl_train(dataset, cfg, seed)
     if method not in METHOD_AUGMENTATION:
         raise ConfigError(f"method {method!r} has no training phase")
     meta_cfg = replace(cfg, meta=replace(cfg.meta, augmentation=METHOD_AUGMENTATION[method]))
-    return meta_train(dataset, meta_cfg, seed, log_path)
+    return meta_train(dataset, meta_cfg, seed)
 
 
 def run_method(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> dict:
@@ -94,17 +92,14 @@ def read_cell(cell, path: Path) -> tuple[str, dict]:
     return method, {k: cell[k] for k in ("seed", "average_macro_f1", "per_task")}
 
 
-def render_report(summaries: list[dict]) -> tuple[str, str]:
-    """(text table, JSON document), both sorted by mean, best first.
-
-    The table shows mean ± std to three decimals; the JSON is the list of
-    summaries itself, at full precision and with the per-task scores.
+def render_report(summaries: list[dict]) -> tuple[str, list[dict]]:
+    """(text table, report.json's list of summaries), both sorted by mean,
+    best first. The table shows mean ± std to three decimals; the list holds
+    the summaries themselves, at full precision and with the per-task scores.
     """
     ordered = sorted(summaries, key=lambda s: (-s["mean"], s["method"]))
     width = max([len("method")] + [len(s["method"]) for s in ordered])
     lines = [f"{'method':<{width}}  avg_macro_f1"]
     for s in ordered:
         lines.append(f"{s['method']:<{width}}  {s['mean']:.3f} ± {s['std']:.3f}")
-    text = "\n".join(lines) + "\n"
-    doc = json.dumps(ordered, indent=2, sort_keys=True) + "\n"
-    return text, doc
+    return "\n".join(lines) + "\n", ordered

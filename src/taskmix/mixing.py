@@ -30,6 +30,9 @@ from .data import Batch, Task, empty_batch, gather_batch
 from .errors import ConfigError
 
 
+MAX_SYNTHETIC = 1 << 16  # mix.n_synthetic's bound: over 1,000x the wide preset's 54 tasks
+
+
 @dataclass
 class MixConfig:
     """Augmentation knobs shared by query mixup and synthetic tasks.
@@ -48,8 +51,8 @@ class MixConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"mix.eta must be positive and finite, got {self.eta}")
-        if self.n_synthetic is not None and self.n_synthetic < 0:
-            raise ConfigError(f"mix.n_synthetic must be >= 0, got {self.n_synthetic}")
+        if self.n_synthetic is not None and not 0 <= self.n_synthetic <= MAX_SYNTHETIC:
+            raise ConfigError(f"mix.n_synthetic must be 0..{MAX_SYNTHETIC}, got {self.n_synthetic}")
 
 
 def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, float]:

@@ -36,7 +36,6 @@ history and the divergence check for each of them.
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -95,41 +94,33 @@ class TrainedModel:
     best_value: float
 
 
-def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int, eval_every: int,
-         log_path) -> TrainedModel:
+def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int,
+         eval_every: int) -> TrainedModel:
     """Run up to max_steps of `step(params, k) -> (params', record)`.
 
     After every eval_every-th step, `evaluate(params) -> (name, value)` adds
     its value to the step's record and feeds the early stopper, which ends
-    the run once its patience runs out. Records go to the history and, one
-    JSON line each, to log_path (if given). A non-finite record value ends
-    the run with TrainingDivergedError at that step: the numerics do not
-    check their inputs (data is checked when it is read), so non-finite
-    parameters show up here as a non-finite loss or evaluation.
+    the run once its patience runs out. A non-finite record value ends the
+    run with TrainingDivergedError at that step, which carries the history
+    so far. The numerics do not check their inputs (data is checked when
+    read), so non-finite parameters show up as a non-finite loss or evaluation.
     """
     if sys.platform == "linux":  # glibc's malloc thresholds, fixed: see README
         for param, value in ((-3, 32 << 20), (-1, 64 << 20)):  # M_MMAP_, M_TRIM_THRESHOLD
             ctypes.CDLL(None).mallopt(param, value)
     history: list[dict] = []
-    log = open(log_path, "w") if log_path else None
-    try:
-        for k in range(max_steps):
-            evaluated = (k + 1) % eval_every == 0
-            params, record = step(params, k)
-            if evaluated:
-                name, value = evaluate(params)
-                record[name] = value
-            bad = [key for key, v in record.items() if not math.isfinite(v)]
-            if bad:
-                raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}")
-            history.append(record)
-            if log is not None:
-                log.write(json.dumps(record, sort_keys=True) + "\n")
-            if evaluated and stopper.update(value, k, params):
-                break
-    finally:
-        if log is not None:
-            log.close()
+    for k in range(max_steps):
+        evaluated = (k + 1) % eval_every == 0
+        params, record = step(params, k)
+        if evaluated:
+            name, value = evaluate(params)
+            record[name] = value
+        bad = [key for key, v in record.items() if not math.isfinite(v)]
+        if bad:
+            raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}", history)
+        history.append(record)
+        if evaluated and stopper.update(value, k, params):
+            break
     best = stopper.best_params if stopper.best_params is not None else params
     best_value = stopper.best_value if stopper.best_value is not None else math.nan
     return TrainedModel(best, history, len(history), stopper.best_step, best_value)
@@ -285,7 +276,7 @@ def meta_step(
     return theta, adam_state, stats
 
 
-def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> TrainedModel:
+def meta_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
     """Meta-train up to cfg.meta.max_steps outer updates.
 
     Every cfg.meta.eval_every steps the mean validation-split loss over the
@@ -308,11 +299,10 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tr
         return "validation_loss", total / len(tasks)
 
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    return _fit(theta, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every,
-                log_path)
+    return _fit(theta, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every)
 
 
-def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> TrainedModel:
+def finetune(theta: ModelParams, task: Task, cfg: RunConfig) -> TrainedModel:
     """Adapt all parameters to one held-out task.
 
     Adam on the whole train split as a single deterministic batch; early
@@ -340,8 +330,7 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig, log_path=None) -> T
 
     stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
     stopper.update(split_macro_f1(theta, task, "validation"), -1, theta)
-    return _fit(theta, step, evaluate, stopper, cfg.finetune.max_steps,
-                cfg.finetune.eval_every, log_path)
+    return _fit(theta, step, evaluate, stopper, cfg.finetune.max_steps, cfg.finetune.eval_every)
 
 
 def _restrict(batch: Batch, n_classes: int) -> Batch:
@@ -349,7 +338,7 @@ def _restrict(batch: Batch, n_classes: int) -> Batch:
     return Batch(x=batch.x, y=batch.y[:, :n_classes], w=batch.w[:n_classes])
 
 
-def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> TrainedModel:
+def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
     """Joint multi-task pretraining of the shared trunk.
 
     Each step samples one batch per training task, runs it through the
@@ -409,7 +398,6 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int, log_path=None) -> Tra
         return "validation_loss", total / len(tasks)
 
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    model = _fit(state, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every,
-                 log_path)
+    model = _fit(state, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every)
     trunk = model.params[:n_neck]
     return replace(model, params=base.like(np.concatenate([trunk, base.flat[n_neck:]])))

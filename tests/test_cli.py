@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,14 +116,23 @@ def test_convert_reports_line_numbers(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def history_lines(out: Path) -> list[str]:
+    """history.jsonl's lines, each checked to be one step record in sorted-key
+    JSON, and the records numbered 0, 1, ... in order."""
+    lines = (out / "history.jsonl").read_text().splitlines()
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+    assert [json.loads(line)["step"] for line in lines] == list(range(len(lines)))
+    return lines
+
+
 def test_train_writes_model_and_history(tmp_path):
     manifest = write_tiny_dataset(tmp_path)
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
-    code = main(["train", "--config", str(cfg), "--dataset", str(manifest),
-                 "--out", str(out), "--method", "maml"])
+    argv = ["train", "--config", str(cfg), "--dataset", str(manifest),
+            "--out", str(out), "--method", "maml"]
+    code = main(argv)
     assert code == 0
-    assert (out / "history.jsonl").exists()
     model = json.loads((out / "model.json").read_text())
     assert {"layers", "head"} <= set(model)
     assert len(model["layers"]) == 1
@@ -138,6 +148,11 @@ def test_train_writes_model_and_history(tmp_path):
     params = train_phase(load_dataset(manifest), "maml", from_dict(saved), summary["seed"]).params
     assert params.flat.dtype == np.float32
     assert np.array_equal(saved_vector, params.flat)
+    # one line per step run
+    assert len(history_lines(out)) == summary["stopped_at"] > 0
+    # no steps: an empty history
+    assert main(argv + ["--meta.max_steps", "0"]) == 0
+    assert (out / "history.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize("source", ["file", "flag"])
@@ -537,12 +552,39 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--meta.inner_lr", "1e30"])
     assert code == 4
     assert "step" in capsys.readouterr().err
+    # the history holds the records of the steps before the diverging one
+    code = main(["train", "--config", str(cfg), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "run"), "--method", "maml",
+                 "--schedule.lr_max", "1e30"])
+    assert code == 4
+    k = int(re.search(r"^error: .* at step (\d+)$", capsys.readouterr().err, re.M).group(1))
+    assert k > 0
+    assert len(history_lines(tmp_path / "run")) == k
     # one overflowing fine-tune update must not be scored as a model
     code = main(experiment_argv(manifest, cfg, tmp_path / "exp", "vanilla", seeds="0")
                 + ["--finetune.lr", "1e200", "--finetune.max_steps", "1",
                    "--finetune.eval_every", "1"])
     assert code == 4
     assert "non-finite validation_macro_f1 at step 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_leaves_only_files_of_its_own_run(tmp_path, capsys):
+    manifest = write_tiny_dataset(tmp_path, seed=41)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "reuse"
+    base = ["train", "--config", str(cfg), "--dataset", str(manifest), "--out", str(out)]
+    assert main(base + ["--method", "maml"]) == 0
+    finished = read_bytes_map(out)
+    # a run that fails before training writes nothing
+    assert main(base + ["--method", "vanilla"]) == 2
+    assert read_bytes_map(out) == finished
+    # a diverged run leaves its config and history, and no earlier run's model
+    assert main(base + ["--method", "mtl", "--schedule.lr_max", "1e30"]) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "history.jsonl"]
+    assert json.loads((out / "config.json").read_text())["method"] == "mtl"
+    assert "at step 1" in capsys.readouterr().err
+    assert len(history_lines(out)) == 1
 
 
 def test_augmentation_must_match_every_method_run(tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from taskmix.cli import _write_json
 from taskmix.data import Task, compute_class_weights, full_split_batch
 from taskmix.errors import ConfigError
 from taskmix.evaluation import render_report, run_method, summarize
@@ -183,9 +184,13 @@ def test_summarize_aggregates_run_method_reports():
     assert summary["mean"] == pytest.approx(sum(values) / 2)
 
 
-def test_report_json_schema():
+def test_report_json_schema(tmp_path):
+    # report.json is the report's list of summaries as cli writes every JSON file
     summary = summarize("maml", [report(s, {"b": 0.2, "a": 0.4}) for s in (1, 0)])
-    doc = json.loads(render_report([summary])[1])[0]
+    _write_json(tmp_path / "report.json", render_report([summary])[1])
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("\n")
+    doc = json.loads(text)[0]
     assert set(doc) == {"method", "mean", "std", "seeds"}
     assert [s["seed"] for s in doc["seeds"]] == [1, 0]
     assert list(doc["seeds"][0]["per_task"]) == ["a", "b"]  # sorted keys
@@ -206,6 +211,4 @@ def test_render_report_format_and_order():
     assert re.search(r"maml\s+0\.370 ± 0\.017$", lines[2])
     assert text.endswith("\n")
 
-    payload = json.loads(doc)
-    assert [entry["method"] for entry in payload] == ["vanilla", "maml"]
-    assert doc.endswith("\n")
+    assert [entry["method"] for entry in doc] == ["vanilla", "maml"]

@@ -123,6 +123,10 @@ def test_mix_config_validation_names_keys():
         MixConfig(eta=0.0).validate()
     with pytest.raises(ConfigError, match="mix.n_synthetic"):
         MixConfig(n_synthetic=-1).validate()
+    # meta_step lists a key for every synthetic unit before it runs one
+    with pytest.raises(ConfigError, match="mix.n_synthetic"):
+        MixConfig(n_synthetic=mixing.MAX_SYNTHETIC + 1).validate()
+    MixConfig(n_synthetic=mixing.MAX_SYNTHETIC).validate()
     MixConfig().validate()  # defaults are fine
 
 

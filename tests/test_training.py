@@ -355,40 +355,36 @@ STAGE_KEYS = {
 }
 
 
-def run_stage(stage, ds, log_path, **loop):
+def run_stage(stage, ds, **loop):
     """Run one stage from the seed-0 initialization with the same step budget,
     cadence and patience in the meta and fine-tune config sections; returns
     (result, start parameters)."""
     cfg = tiny_config(meta=loop, finetune=loop)
     start = initial_params(ds, cfg, 0)
     if stage == "finetune":
-        return finetune(start, ds.meta_test_tasks[0], cfg, log_path=log_path), start
+        return finetune(start, ds.meta_test_tasks[0], cfg), start
     train = {"meta_train": meta_train, "mtl_train": mtl_train}[stage]
-    return train(ds, cfg, 0, log_path=log_path), start
+    return train(ds, cfg, 0), start
 
 
 @pytest.mark.parametrize("stage", list(STAGE_KEYS))
-def test_stage_loop_contract(stage, tmp_path, monkeypatch):
+def test_stage_loop_contract(stage, monkeypatch):
     import taskmix.training as training
 
     loss_key, eval_key = STAGE_KEYS[stage]
     ds = tiny_dataset(seed=12)
-    log = tmp_path / "history.jsonl"
-    trained, _ = run_stage(stage, ds, log, max_steps=8, eval_every=3, patience=5)
-    lines = [json.loads(l) for l in log.read_text().splitlines()]
-    assert trained.stopped_at == len(trained.history) == len(lines) == 8
-    assert lines == trained.history
+    trained, _ = run_stage(stage, ds, max_steps=8, eval_every=3, patience=5)
+    assert trained.stopped_at == len(trained.history) == 8
     for k, record in enumerate(trained.history):
         assert record["step"] == k
         assert {"step", "lr", loss_key} <= set(record)
         assert (eval_key in record) == ((k + 1) % 3 == 0)
 
-    # no steps: the start parameters, no best step, an empty log
-    trained, start = run_stage(stage, ds, log, max_steps=0)
+    # no steps: the start parameters, no best step, an empty history
+    trained, start = run_stage(stage, ds, max_steps=0)
     assert trained.stopped_at == 0 and trained.history == []
     assert trained.best_step == -1
     assert same_params(trained.params, start)
-    assert log.read_text() == ""
 
     # the third update poisons the fourth step: NaN parameters or an infinite
     # loss; either way the step's record holds a non-finite loss
@@ -408,11 +404,11 @@ def test_stage_loop_contract(stage, tmp_path, monkeypatch):
         monkeypatch.setattr(training, "adam_step", poisoned_adam)
         monkeypatch.setattr(training, "backward", poisoned_backward)
         with pytest.raises(TrainingDivergedError) as err:
-            run_stage(stage, ds, log, max_steps=8, eval_every=100)
+            run_stage(stage, ds, max_steps=8, eval_every=100)
         assert err.value.step == 3
         assert "step 3" in str(err.value)
         assert loss_key in str(err.value)
-        assert len(log.read_text().splitlines()) == 3  # the steps before it
+        assert [r["step"] for r in err.value.history] == [0, 1, 2]  # the steps before it
 
 
 def test_model_geometry_uses_dataset_shape():
