@@ -190,7 +190,8 @@ def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.nda
     task whose split comes out empty is rejected by load_dataset.
     """
     buckets: list[list[np.ndarray]] = [[], [], []]
-    for c in np.unique(labels):
+    # np.bincount, not np.unique, which imports numpy.ma (about 1 MB of RSS) to check for a mask
+    for c in np.flatnonzero(np.bincount(labels)):
         idx = rng.permutation(np.flatnonzero(labels == c))
         n_c = len(idx)
         if n_c < 3:
@@ -224,7 +225,8 @@ def _given_splits(given, n: int, where: str) -> dict[str, np.ndarray]:
             raise DataError(f"{where}: split {name!r} must list integer indices in [0, {n})")
     splits = {name: np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES}
     seen = np.concatenate(list(splits.values()))
-    if len(seen) != n or len(np.unique(seen)) != n:
+    # np.bincount, not np.unique, which imports numpy.ma (about 1 MB of RSS) to check for a mask
+    if len(seen) != n or not np.bincount(seen, minlength=n).all():
         raise DataError(f"{where}: splits must be disjoint and cover all {n} examples")
     return splits
 

@@ -30,3 +30,7 @@ class TrainingDivergedError(TaskMixError):
         self.step = step
         self.history = history
         super().__init__(message)
+
+    def __reduce__(self):
+        # args holds only the message; pickle rebuilds from all three
+        return type(self), (self.step, str(self), self.history)

@@ -243,7 +243,10 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     mask z > 0 and min(z, 0). The tangent pass adds the layer's output
     tangent (the next layer's input tangent) and its tangent preactivation
     masked to z <= 0. The reverse step builds its terms in those spent
-    buffers and recomputes the PReLU derivative from the mask. Every product
+    buffers and recomputes the PReLU derivative from the mask: dz goes into
+    min(z, 0), and the adjoint of a layer's input and its tangent go into
+    that input and its input tangent once the weight terms have read them.
+    hs[0] is the caller's features and is never written. Every product
     keeps its operands or swaps a commutative pair, and every sum keeps its
     order, so the in-place forms give the same bits as fresh temporaries.
 
@@ -258,16 +261,8 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
     # [..., B, 1]: total class weight carried by each row's labels
     weight_mass = y @ w[..., None]
     delta = (weight_mass * p - y * _rows(w)) / x.shape[-2]  # dLoss/dlogits
-    out = np.empty(params.flat.shape, params.flat.dtype)
-    out_layers, (out_head_w, out_head_b) = params.layout.views(out)
 
-    # Each layer's cached arrays are dropped once its gradient is taken, and
-    # the reverse pass works in place, so a stack of units holds few
-    # activation-sized arrays at once.
-    if direction is None:
-        np.matmul(delta.mT, hs.pop(), out=out_head_w)
-        delta.sum(axis=-2, out=out_head_b)
-    else:
+    if direction is not None:
         v_layers, (v_head_w, v_head_b) = params.layout.views(direction)
         r_hs, r_zms = _tangent_forward(layers, v_layers, hs, poss, negs)
         r_logits = hs[-1] @ v_head_w.mT
@@ -278,19 +273,31 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
         # softmax output moves: Rp = p * (Ru - <p, Ru>).
         rp = p * (r_logits - (p * r_logits).sum(axis=-1, keepdims=True))
         r_delta = (weight_mass * rp) / x.shape[-2]
-        _tangent_weight_grad(r_delta, hs.pop(), delta, r_hs.pop(), out_head_w)
+    # after the tangent pass, which holds the HVP's largest working set
+    out = np.empty(params.flat.shape, params.flat.dtype)
+    out_layers, (out_head_w, out_head_b) = params.layout.views(out)
+
+    h = hs.pop()
+    if direction is None:
+        np.matmul(delta.mT, h, out=out_head_w)
+        delta.sum(axis=-2, out=out_head_b)
+    else:
+        r_h = r_hs.pop()
+        _tangent_weight_grad(r_delta, h, delta, r_h, out_head_w)
         r_delta.sum(axis=-2, out=out_head_b)
-        rd = r_delta @ head_w
-        rd += delta @ v_head_w
-    d = delta @ head_w
+    if layers:  # with no hidden layer, no adjoint is read
+        if direction is not None:
+            rd = np.matmul(r_delta, head_w, out=r_h)
+            rd += np.matmul(delta, v_head_w, out=h)
+        d = np.matmul(delta, head_w, out=h)
 
     for k in range(len(layers) - 1, -1, -1):
         (weight, _, slope), (o_w, o_b, o_s) = layers[k], out_layers[k]
         h, pos, neg = hs.pop(), poss.pop(), negs.pop()
         if direction is None:
-            dz = _prelu_derivative(slope, pos)
-            dz *= d
             np.multiply(neg, d, out=neg).sum(axis=-2, out=o_s)
+            dz = _prelu_derivative(slope, pos, out=neg)
+            dz *= d
             np.matmul(dz.mT, h, out=o_w)
             dz.sum(axis=-2, out=o_b)
         else:
@@ -311,14 +318,15 @@ def _backprop(params: ModelParams, batch, direction: np.ndarray | None = None):
             del rzm, rd
             dz = act
             dz *= d
-            _tangent_weight_grad(r_dz, h, dz, r_hs.pop(), o_w)
+            r_h = r_hs.pop()
+            _tangent_weight_grad(r_dz, h, dz, r_h, o_w)
             r_dz.sum(axis=-2, out=o_b)
             if k:
-                rd = r_dz @ weight
-                rd += dz @ v_w
+                rd = np.matmul(r_dz, weight, out=r_h)
+                rd += np.matmul(dz, v_w, out=h)
             del r_dz
         if k:  # the adjoint of the input itself is never needed
-            d = dz @ weight
+            d = np.matmul(dz, weight, out=h)
     return loss, out
 
 

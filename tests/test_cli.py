@@ -5,11 +5,14 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskmix
 from taskmix.cli import _resolve_config, build_parser, main
 from taskmix.config import RunConfig, from_dict, to_dict
 from taskmix.data import load_dataset, read_task_file, write_dataset, write_task_file
@@ -947,3 +950,28 @@ def test_mutated_cells_exit_0_or_3_and_report_rebuilds(tmp_path, capsys):
         codes.add(code)
     capsys.readouterr()
     assert codes == {0, 3}
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs every process about 1 MB of RSS and 10-15 ms to import, and
+    # np.unique imports it; a fresh process runs synth and an experiment of
+    # every method, then lists its modules
+    script = """
+import sys
+from taskmix.cli import main
+data, cfg, out = sys.argv[1:]
+assert main(["synth", "--preset", "long", "--scale", "0.05", "--seed", "0", "--out", data]) == 0
+assert main(["experiment", "--config", cfg, "--dataset", data + "/manifest.json", "--out", out,
+             "--methods", "vanilla,mtl,maml,maml+taskmix,maml+metamix,maml+metamix+taskmix",
+             "--seeds", "0"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    cfg = write_config(tmp_path, meta={"max_steps": 2}, finetune={"max_steps": 2})
+    src = str(Path(taskmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "data"), str(cfg),
+                           str(tmp_path / "exp")], env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

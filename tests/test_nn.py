@@ -291,13 +291,9 @@ def test_stacked_calls_equal_their_slices_bit_for_bit(dims):
                        for a, b in zip(stack_layer, layer))
 
 
-@pytest.mark.parametrize("units", [1, 2])
-def test_hvp_working_set_stays_near_ten_activations(units):
-    # per layer the HVP keeps only what its reverse step reads (input, mask,
-    # min(z, 0), output tangent, masked tangent preactivation) and builds its
-    # terms in spent buffers: about 10 arrays of [G, B, 128] float32 above
-    # its inputs at this shape, against about 16 with whole tangent lists
-    dims, b = (32, 128, 128, 5), 256
+def unit_case(units, dims=(32, 128, 128, 5), b=256):
+    """(params, batch, direction, bytes of one [G, B, dims[1]] activation), all
+    float32: one unit unstacked, or a stack of units at one broadcast model."""
     rng = np.random.default_rng(3)
     params = init_params(dims, rng)
     batches = [random_batch(60 + g, b, dims[0], dims[-1], dtype=np.float32)
@@ -308,14 +304,52 @@ def test_hvp_working_set_stays_near_ten_activations(units):
     else:
         batch = stacked(*batches)
         params = params.like(np.broadcast_to(params.flat, (units, params.layout.size)))
-    activation_bytes = units * b * dims[1] * 4
+    return params, batch, direction, units * b * dims[1] * 4
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while call() runs."""
     tracemalloc.start()
     try:
-        loss_hvp(params, batch, direction)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13 * activation_bytes
+
+
+@pytest.mark.parametrize("units", [1, 2])
+def test_hvp_working_set_stays_near_ten_activations(units):
+    # per layer the HVP keeps only what its reverse step reads (input, mask,
+    # min(z, 0), output tangent, masked tangent preactivation) and builds its
+    # terms in spent buffers: about 10 arrays of [G, B, 128] float32 above
+    # its inputs at this shape, against about 16 with whole tangent lists
+    params, batch, direction, activation_bytes = unit_case(units)
+    assert traced_peak(lambda: loss_hvp(params, batch, direction)) < 13 * activation_bytes
+
+
+@pytest.mark.parametrize("units", [1, 2])
+def test_backward_working_set_stays_below_six_and_a_half_activations(units):
+    # the reverse pass allocates nothing activation-sized: each adjoint goes
+    # into the activation it has spent, and dz into the spent min(z, 0). The
+    # peak is the forward cache (4.5 arrays of [G, B, 128] float32 here) and
+    # the temporaries of its last layer, against about 7.3 arrays when the
+    # reverse pass allocated dz and d fresh.
+    params, batch, _, activation_bytes = unit_case(units)
+    assert traced_peak(lambda: backward(params, batch)) < 6.5 * activation_bytes
+
+
+@pytest.mark.parametrize("units", [1, 3], ids=["unstacked", "broadcast"])
+@pytest.mark.parametrize("dims", [(6, 3), (6, 8, 3), (6, 8, 5, 4)], ids=dims_id)
+def test_passes_never_write_the_callers_arrays(dims, units):
+    # the reverse pass writes into spent buffers; the caller's are never among
+    # them, not even the features, which a head-only model reads as its top
+    # activation
+    params, batch, direction, _ = unit_case(units, dims, b=16)
+    inputs = (params.flat, batch.x, batch.y, batch.w, direction)
+    before = [a.tobytes() for a in inputs]
+    for call in (lambda: backward(params, batch), lambda: loss_hvp(params, batch, direction)):
+        call()
+        assert [a.tobytes() for a in inputs] == before
 
 
 def test_trace_unroll_quadratic_closed_form(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,15 @@ def test_finetune_never_keeps_non_finite_parameters():
             finetune(theta, task, cfg)
         assert err.value.step == 0
         assert "non-finite validation_macro_f1" in str(err.value)
+
+
+def test_divergence_error_survives_pickling():
+    # worker processes hand exceptions back pickled
+    history = [{"step": 0, "loss": 1.5}, {"step": 1, "loss": 0.75}]
+    err = TrainingDivergedError(2, "training diverged at step 2", history)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is TrainingDivergedError
+    assert (copy.step, str(copy), copy.history) == (2, "training diverged at step 2", history)
 
 
 def test_mtl_returns_fresh_never_trained_head():
