@@ -35,6 +35,7 @@ from .data import (
     load_dataset,
     read_csv_features,
     read_json,
+    read_manifest,
     write_dataset,
     write_task_file,
     write_text_atomic,
@@ -141,17 +142,13 @@ def cmd_convert(args) -> int:
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
     if manifest_path.exists():
-        manifest = read_json(manifest_path)
-        tasks = manifest.get("tasks", []) if isinstance(manifest, dict) else None
-        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
-            raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
+        manifest = read_manifest(manifest_path)
         if manifest.get("dim") != features.shape[1]:
             raise DataError(
                 f"{args.csv}: feature dimension {features.shape[1]} does not match "
                 f"manifest dimension {manifest.get('dim')}"
             )
-        manifest.setdefault("tasks", [])
-    if any(t.get("id") == args.task_id for t in manifest["tasks"]):
+    if any(t["id"] == args.task_id for t in manifest["tasks"]):
         raise DataError(f"task id {args.task_id!r} already present in {manifest_path}")
     filename = f"{args.task_id}.tmxf"
     write_task_file(out / filename, features, labels, n_classes)
@@ -330,3 +327,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

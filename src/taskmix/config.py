@@ -17,9 +17,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .mixing import MixConfig
 from .nn import GRAD_MODES
-from .optim import Schedule
 
 AUG_NONE = "none"
 AUG_METAMIX = "metamix"
@@ -43,6 +41,8 @@ METHOD_AUGMENTATION = {
     "maml+taskmix": AUG_TASKMIX,
     "maml+metamix+taskmix": AUG_BOTH,
 }
+
+MAX_SYNTHETIC = 1 << 16  # mix.n_synthetic's bound: over 1,000x the wide preset's 54 tasks
 
 
 @dataclass
@@ -71,6 +71,31 @@ class FinetuneConfig:
     max_steps: int = 1000
     eval_every: int = 10
     patience: int = 10
+
+
+@dataclass
+class Schedule:
+    """Cosine-annealed outer learning rate (optim.cosine_lr)."""
+
+    lr_max: float = 0.001
+    lr_min: float = 0.0
+    max_step: int = 5000
+
+
+@dataclass
+class MixConfig:
+    """Augmentation knobs shared by query mixup and synthetic tasks.
+
+    n_synthetic None means "as many synthetic tasks as real training tasks";
+    0 disables synthesis entirely.
+    """
+
+    eta: float = 0.5
+    n_synthetic: int | None = None
+
+    def synthetic_count(self, n_tasks: int) -> int:
+        """Synthetic tasks per outer step beside n_tasks real ones."""
+        return n_tasks if self.n_synthetic is None else int(self.n_synthetic)
 
 
 @dataclass
@@ -114,6 +139,14 @@ class RunConfig:
             raise ConfigError(f"meta.eval_every must be >= 1, got {m.eval_every}")
         if m.patience < 1:
             raise ConfigError(f"meta.patience must be >= 1, got {m.patience}")
+        s = self.schedule
+        # NaN fails every comparison; the finite lr_max bounds lr_min too
+        if not (math.isfinite(s.lr_max) and s.lr_max >= s.lr_min >= 0.0):
+            raise ConfigError(
+                f"schedule requires finite lr_max >= lr_min >= 0, got {s.lr_max}, {s.lr_min}"
+            )
+        if s.max_step <= 0:
+            raise ConfigError(f"schedule.max_step must be > 0, got {s.max_step}")
         f = self.finetune
         if not (math.isfinite(f.lr) and f.lr > 0):
             raise ConfigError(f"finetune.lr must be positive and finite, got {f.lr}")
@@ -123,8 +156,11 @@ class RunConfig:
             raise ConfigError(f"finetune.eval_every must be >= 1, got {f.eval_every}")
         if f.patience < 1:
             raise ConfigError(f"finetune.patience must be >= 1, got {f.patience}")
-        self.mix.validate()
-        # Schedule validates itself on construction.
+        mix = self.mix
+        if not (math.isfinite(mix.eta) and mix.eta > 0):
+            raise ConfigError(f"mix.eta must be positive and finite, got {mix.eta}")
+        if mix.n_synthetic is not None and not 0 <= mix.n_synthetic <= MAX_SYNTHETIC:
+            raise ConfigError(f"mix.n_synthetic must be 0..{MAX_SYNTHETIC}, got {mix.n_synthetic}")
 
 
 # ---------------------------------------------------------------------------

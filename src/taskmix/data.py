@@ -236,6 +236,32 @@ def _given_splits(given, n: int, where: str) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def read_manifest(path: Path) -> dict:
+    """The parsed manifest at path, checked: an object whose 'tasks' is a list
+    of objects, each with a unique string 'id', a 'role' in ROLES and a
+    string 'file'. The task files themselves are not read."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tasks"), list):
+        raise DataError(f"{path}: manifest must be an object with a 'tasks' list")
+    ids = set()
+    for entry in manifest["tasks"]:
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: task entry {entry!r} is not an object")
+        for key in ("id", "role", "file"):
+            if key not in entry:
+                raise DataError(f"{path}: task entry missing {key!r}")
+        where = f"{path}: task {entry['id']!r}"
+        for key in ("id", "file"):
+            if not isinstance(entry[key], str):
+                raise DataError(f"{where}: {key!r} must be a string")
+        if entry["id"] in ids:
+            raise DataError(f"{where}: id appears more than once")
+        ids.add(entry["id"])
+        if entry["role"] not in ROLES:
+            raise DataError(f"{where}: role must be one of {ROLES}, got {entry['role']!r}")
+    return manifest
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Load and fully validate a dataset from its manifest.
 
@@ -248,38 +274,19 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or "tasks" not in manifest:
-        raise DataError(f"{manifest_path}: manifest must be an object with a 'tasks' list")
-
-    entries = manifest["tasks"]
-    if not isinstance(entries, list) or not entries:
+    manifest = read_manifest(manifest_path)
+    if not manifest["tasks"]:
         raise DataError(f"{manifest_path}: manifest has no tasks")
     dim = manifest.get("dim")
 
-    raw_tasks, ids = [], set()
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise DataError(f"{manifest_path}: task entry {entry!r} is not an object")
-        for key in ("id", "role", "file"):
-            if key not in entry:
-                raise DataError(f"{manifest_path}: task entry missing {key!r}")
+    raw_tasks = []
+    for entry in manifest["tasks"]:
         where = f"{manifest_path}: task {entry['id']!r}"
-        for key in ("id", "file"):
-            if not isinstance(entry[key], str):
-                raise DataError(f"{where}: {key!r} must be a string")
-        if entry["id"] in ids:
-            raise DataError(f"{where}: id appears more than once")
-        ids.add(entry["id"])
-        if entry["role"] not in ROLES:
-            raise DataError(f"{where}: role must be one of {ROLES}, got {entry['role']!r}")
         features, labels, n_classes = read_task_file(manifest_path.parent / entry["file"])
         if dim is None:
             dim = features.shape[1]
         if features.shape[1] != dim:
-            raise DataError(
-                f"{where}: feature dimension {features.shape[1]} != dataset dim {dim}"
-            )
+            raise DataError(f"{where}: feature dimension {features.shape[1]} != dataset dim {dim}")
         raw_tasks.append((entry, where, features, labels, n_classes))
 
     c_max = max(n_classes for *_, n_classes in raw_tasks)
@@ -296,9 +303,6 @@ def load_dataset(manifest_path) -> Dataset:
         if empty:
             raise DataError(f"{where}: {entry['role']} task has an empty {empty[0]} split")
         weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
-        metadata = {
-            k: entry[k] for k in ("language", "domain") if k in entry
-        }
         tasks.append(
             Task(
                 id=entry["id"],
@@ -308,7 +312,6 @@ def load_dataset(manifest_path) -> Dataset:
                 labels=labels,
                 splits=splits,
                 class_weights=weights,
-                metadata=metadata,
             )
         )
 

@@ -22,37 +22,11 @@ synthetic count to zero) leaves the base training trajectory bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MixConfig
 from .data import Batch, Task, empty_batch, gather_batch
-from .errors import ConfigError
-
-
-MAX_SYNTHETIC = 1 << 16  # mix.n_synthetic's bound: over 1,000x the wide preset's 54 tasks
-
-
-@dataclass
-class MixConfig:
-    """Augmentation knobs shared by query mixup and synthetic tasks.
-
-    n_synthetic None means "as many synthetic tasks as real training tasks";
-    0 disables synthesis entirely.
-    """
-
-    eta: float = 0.5
-    n_synthetic: int | None = None
-
-    def synthetic_count(self, n_tasks: int) -> int:
-        """Synthetic tasks per outer step beside n_tasks real ones."""
-        return n_tasks if self.n_synthetic is None else int(self.n_synthetic)
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"mix.eta must be positive and finite, got {self.eta}")
-        if self.n_synthetic is not None and not 0 <= self.n_synthetic <= MAX_SYNTHETIC:
-            raise ConfigError(f"mix.n_synthetic must be 0..{MAX_SYNTHETIC}, got {self.n_synthetic}")
 
 
 def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, float]:

@@ -10,7 +10,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import Schedule
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
@@ -61,23 +61,6 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     denom += ADAM_EPS
     step /= denom
     return AdamState(m=m, v=v, t=t), params - step
-
-
-@dataclass
-class Schedule:
-    lr_max: float = 0.001
-    lr_min: float = 0.0
-    max_step: int = 5000
-
-    def __post_init__(self):
-        # NaN fails every comparison; the finite lr_max bounds lr_min too
-        if not (math.isfinite(self.lr_max) and self.lr_max >= self.lr_min >= 0.0):
-            raise ConfigError(
-                "schedule requires finite lr_max >= lr_min >= 0, "
-                f"got {self.lr_max}, {self.lr_min}"
-            )
-        if self.max_step <= 0:
-            raise ConfigError(f"schedule.max_step must be > 0, got {self.max_step}")
 
 
 def cosine_lr(step: int, schedule: Schedule) -> float:

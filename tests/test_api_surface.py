@@ -1,4 +1,5 @@
-"""The package carries no API that only tests call.
+"""The package carries no API that only tests call, and its numerics raise
+no input errors.
 
 Every public top-level function and class in src/taskmix/*.py, and every
 public method and property of those classes, must be referenced somewhere
@@ -6,6 +7,9 @@ other than its own definition: by code in a package
 module (not __init__.py, whose re-exports call nothing), by the benchmark
 harness under perfbench/ (which also names traced functions in strings such
 as "nn.backward"), or as a console-script entry point in pyproject.toml.
+
+Input is checked once, where it enters (see errors.py), so the numeric
+modules never name ConfigError or DataError, not even in an import.
 """
 
 import ast
@@ -69,3 +73,18 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             if not referenced:
                 uncalled.append(f"{module}: {label}")
     assert uncalled == [], "public definitions nothing outside the tests uses"
+
+
+NUMERICS = ("nn", "optim", "mixing", "metrics", "rng")
+INPUT_ERRORS = ("ConfigError", "DataError")
+
+
+def test_numerics_name_no_input_error():
+    named = []
+    for module in NUMERICS:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        words = {word for word, _ in used_names(tree)}
+        words |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        named += [f"{module}: {error}" for error in INPUT_ERRORS if error in words]
+    assert named == [], "numeric modules that name an input error"

@@ -897,6 +897,29 @@ def test_convert_with_a_directory_as_manifest_is_a_data_error(tmp_path, capsys):
     assert not (out / "t0.tmxf").exists()
 
 
+TASK_ENTRY = {"id": "a", "role": "meta_train", "file": "a.tmxf"}
+
+
+@pytest.mark.parametrize("manifest", [
+    {"dim": 2, "tasks": [{"id": "a", "role": "meta_train"}]},
+    {"dim": 2, "tasks": [TASK_ENTRY, {**TASK_ENTRY, "file": "b.tmxf"}]},
+    {"dim": 2, "tasks": [{**TASK_ENTRY, "role": "bogus"}]},
+    {"dim": 2, "tasks": [{**TASK_ENTRY, "file": 7}]},
+    {"dim": 2},
+], ids=["no-file", "duplicate-id", "bogus-role", "non-string-file", "no-tasks"])
+def test_convert_onto_malformed_manifest_is_a_data_error(tmp_path, capsys, manifest):
+    # convert extended each of these (exit 0) into a manifest load_dataset rejects
+    out = tmp_path / "ds"
+    out.mkdir()
+    path = out / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    before = path.read_bytes()
+    assert main(out_argv("convert", tmp_path, out)) == 3
+    assert_one_error_line(capsys, path)
+    assert path.read_bytes() == before
+    assert not (out / "t0.tmxf").exists()
+
+
 # What a mutated cell field becomes: type swaps (bool included), NaN, the
 # infinities, an integer too large for a float64, negatives, in-range scores.
 MUTANT_VALUES = [True, False, None, "0.5", [0.5], {"t": 0.5}, math.nan, math.inf, -math.inf,
@@ -952,6 +975,14 @@ def test_mutated_cells_exit_0_or_3_and_report_rebuilds(tmp_path, capsys):
     assert codes == {0, 3}
 
 
+def package_env() -> dict:
+    """The environment with this checkout's taskmix first on PYTHONPATH, for
+    a fresh Python process."""
+    src = str(Path(taskmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     # numpy.ma costs every process about 1 MB of RSS and 10-15 ms to import, and
     # np.unique imports it; a fresh process runs synth and an experiment of
@@ -967,11 +998,18 @@ assert main(["experiment", "--config", cfg, "--dataset", data + "/manifest.json"
 print("numpy.ma" in sys.modules)
 """
     cfg = write_config(tmp_path, meta={"max_steps": 2}, finetune={"max_steps": 2})
-    src = str(Path(taskmix.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "data"), str(cfg),
-                           str(tmp_path / "exp")], env=env, capture_output=True, text=True,
-                           timeout=300)
+                           str(tmp_path / "exp")], env=package_env(), capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_python_m_taskmix_cli_runs_the_command(tmp_path):
+    # without a __main__ guard the module was imported, ran nothing and exited 0
+    out = tmp_path / "d"
+    done = subprocess.run([sys.executable, "-m", "taskmix.cli", "synth", "--preset", "long",
+                           "--out", str(out)], env=package_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "manifest.json").is_file()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from taskmix import mixing
+from taskmix.config import MAX_SYNTHETIC, MixConfig, RunConfig
 from taskmix.data import Batch, Task, one_hot
 from taskmix.errors import ConfigError
 from taskmix.mixing import (
-    MixConfig,
     metamix_augment,
     mix_arrays,
     mix_batches,
@@ -120,14 +120,14 @@ def test_beta_small_eta_survives_gamma_underflow():
 
 def test_mix_config_validation_names_keys():
     with pytest.raises(ConfigError, match="mix.eta"):
-        MixConfig(eta=0.0).validate()
+        RunConfig(mix=MixConfig(eta=0.0)).validate()
     with pytest.raises(ConfigError, match="mix.n_synthetic"):
-        MixConfig(n_synthetic=-1).validate()
+        RunConfig(mix=MixConfig(n_synthetic=-1)).validate()
     # meta_step lists a key for every synthetic unit before it runs one
     with pytest.raises(ConfigError, match="mix.n_synthetic"):
-        MixConfig(n_synthetic=mixing.MAX_SYNTHETIC + 1).validate()
-    MixConfig(n_synthetic=mixing.MAX_SYNTHETIC).validate()
-    MixConfig().validate()  # defaults are fine
+        RunConfig(mix=MixConfig(n_synthetic=MAX_SYNTHETIC + 1)).validate()
+    RunConfig(mix=MixConfig(n_synthetic=MAX_SYNTHETIC)).validate()
+    RunConfig(mix=MixConfig()).validate()  # defaults are fine
 
 
 def test_metamix_single_row_is_identity():

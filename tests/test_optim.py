@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from taskmix import optim
+from taskmix.config import RunConfig, Schedule
 from taskmix.errors import ConfigError
 from taskmix.optim import (
     MAXIMIZE,
     MINIMIZE,
     AdamState,
     EarlyStopper,
-    Schedule,
     adam_step,
     cosine_lr,
     sgd_step,
@@ -164,11 +164,11 @@ def test_cosine_monotone_and_clamped():
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        Schedule(lr_max=0.1, lr_min=0.2)
+        RunConfig(schedule=Schedule(lr_max=0.1, lr_min=0.2)).validate()
     with pytest.raises(ConfigError):
-        Schedule(lr_max=0.1, lr_min=-0.1)
+        RunConfig(schedule=Schedule(lr_max=0.1, lr_min=-0.1)).validate()
     with pytest.raises(ConfigError):
-        Schedule(lr_max=0.1, max_step=0)
+        RunConfig(schedule=Schedule(lr_max=0.1, max_step=0)).validate()
 
 
 def test_early_stopper_patience_trace():
