@@ -33,9 +33,11 @@ from .config import (
 from .data import (
     ROLES,
     load_dataset,
+    manifest_dim,
     read_csv_features,
     read_json,
     read_manifest,
+    read_task_file,
     write_dataset,
     write_task_file,
     write_text_atomic,
@@ -141,13 +143,13 @@ def cmd_convert(args) -> int:
     out = _output_dir(args.out)
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
-    if manifest_path.exists():
+    if manifest_path.exists():  # load_dataset's dim, or with no task the CSV's width
         manifest = read_manifest(manifest_path)
-        if manifest.get("dim") != features.shape[1]:
-            raise DataError(
-                f"{args.csv}: feature dimension {features.shape[1]} does not match "
-                f"manifest dimension {manifest.get('dim')}"
-            )
+        dim = manifest_dim(manifest, (read_task_file(out / t["file"])[0].shape[1]
+                                      for t in manifest["tasks"]))
+        if dim not in (None, features.shape[1]):
+            raise DataError(f"{args.csv}: feature dimension {features.shape[1]} does not match "
+                            f"manifest dimension {dim}")
     if any(t["id"] == args.task_id for t in manifest["tasks"]):
         raise DataError(f"task id {args.task_id!r} already present in {manifest_path}")
     filename = f"{args.task_id}.tmxf"

@@ -181,6 +181,16 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
+def largest_remainders(shares, n: int) -> np.ndarray:
+    """Integer counts summing to n in proportion to shares (which sum to 1):
+    the floor of each share of n, then one more for each of the largest
+    remainders, ties going to the earlier share."""
+    quotas = np.asarray(shares, dtype=np.float64) * n
+    counts = np.floor(quotas).astype(np.int64)
+    counts[np.argsort(counts - quotas, kind="stable")[: n - int(counts.sum())]] += 1
+    return counts
+
+
 def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Stratified 70/10/20 train/validation/test split, deterministic per rng state.
 
@@ -196,16 +206,10 @@ def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.nda
         n_c = len(idx)
         if n_c < 3:
             raise DataError(f"class {int(c)} has {n_c} examples, fewer than the 3 splits")
-        base = [int(np.floor(f * n_c)) for f in SPLIT_FRACTIONS]
-        remainders = [f * n_c - b for f, b in zip(SPLIT_FRACTIONS, base)]
-        for _ in range(n_c - sum(base)):
-            k = int(np.argmax(remainders))
-            base[k] += 1
-            remainders[k] = -1.0
         pos = 0
-        for k in range(3):
-            buckets[k].append(idx[pos : pos + base[k]])
-            pos += base[k]
+        for bucket, count in zip(buckets, largest_remainders(SPLIT_FRACTIONS, n_c)):
+            bucket.append(idx[pos : pos + count])
+            pos += count
 
     return {
         name: np.sort(np.concatenate(b)).astype(np.int64) if b else np.empty(0, dtype=np.int64)
@@ -239,7 +243,8 @@ def _given_splits(given, n: int, where: str) -> dict[str, np.ndarray]:
 def read_manifest(path: Path) -> dict:
     """The parsed manifest at path, checked: an object whose 'tasks' is a list
     of objects, each with a unique string 'id', a 'role' in ROLES and a
-    string 'file'. The task files themselves are not read."""
+    string 'file', and whose 'dim', if present, is an integer >= 1. The task
+    files themselves are not read."""
     manifest = read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tasks"), list):
         raise DataError(f"{path}: manifest must be an object with a 'tasks' list")
@@ -259,7 +264,19 @@ def read_manifest(path: Path) -> dict:
         ids.add(entry["id"])
         if entry["role"] not in ROLES:
             raise DataError(f"{where}: role must be one of {ROLES}, got {entry['role']!r}")
+    dim = manifest.get("dim", 1)
+    if type(dim) is not int or dim < 1:
+        raise DataError(f"{path}: 'dim' must be an integer >= 1, got {dim!r}")
     return manifest
+
+
+def manifest_dim(manifest: dict, widths) -> int | None:
+    """A checked manifest's feature dimension: its 'dim' if it has one, else
+    the first of widths, the feature widths of its task files in listed order
+    (an iterable, read no further); None for a manifest with neither."""
+    if "dim" in manifest:
+        return manifest["dim"]
+    return next(iter(widths), None)
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -277,14 +294,13 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = read_manifest(manifest_path)
     if not manifest["tasks"]:
         raise DataError(f"{manifest_path}: manifest has no tasks")
-    dim = manifest.get("dim")
 
     raw_tasks = []
     for entry in manifest["tasks"]:
         where = f"{manifest_path}: task {entry['id']!r}"
         features, labels, n_classes = read_task_file(manifest_path.parent / entry["file"])
-        if dim is None:
-            dim = features.shape[1]
+        if not raw_tasks:
+            dim = manifest_dim(manifest, [features.shape[1]])
         if features.shape[1] != dim:
             raise DataError(f"{where}: feature dimension {features.shape[1]} != dataset dim {dim}")
         raw_tasks.append((entry, where, features, labels, n_classes))

@@ -104,9 +104,6 @@ class ModelParams:
     def copy(self) -> ModelParams:
         return self.like(self.flat.copy())
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 # ---------------------------------------------------------------------------
 # Initialization and forward pass

@@ -75,9 +75,9 @@ class EarlyStopper:
     """Stops after `patience` (>= 1, as config validation ensures)
     consecutive non-improving evaluations, toward MINIMIZE or MAXIMIZE.
 
-    Keeps a copy of the best-scoring parameters (anything with a `.copy()`
-    that owns its memory: a flat vector or ModelParams); the snapshot is the
-    training result, never the last step's parameters.
+    Keeps a copy of the best-scoring parameter vector (anything with a
+    `.copy()` that owns its memory); the snapshot is the training result,
+    never the last step's parameters.
     """
 
     patience: int

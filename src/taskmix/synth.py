@@ -21,6 +21,7 @@ from .data import (
     Task,
     auto_split,
     compute_class_weights,
+    largest_remainders,
 )
 from .errors import ConfigError
 from .rng import PURPOSE_SPLIT, PURPOSE_SYNTH, substream
@@ -75,12 +76,7 @@ def _zipf_counts(n: int, n_classes: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n_classes + 1, dtype=np.float64)
     p = ranks**-exponent
     p /= p.sum()
-    counts = np.floor(p * n).astype(np.int64)
-    remainders = p * n - counts
-    for _ in range(n - int(counts.sum())):
-        k = int(np.argmax(remainders))
-        counts[k] += 1
-        remainders[k] = -1.0
+    counts = largest_remainders(p, n)
     while counts.min() < 3:
         counts[int(np.argmax(counts))] -= 1
         counts[int(np.argmin(counts))] += 1

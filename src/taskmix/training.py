@@ -23,14 +23,14 @@ Augmentation hooks plug in here:
     synthetic tasks appended to the step's task set, each adapted and
     differentiated exactly like a real task.
 
-Per-task meta-gradients are summed and applied in a single Adam update at
-the cosine-annealed learning rate. Every random draw comes from a substream
-keyed by (purpose, consumer), so toggling any augmentation never perturbs
-the draws of the base algorithm.
+Per-task meta-gradients are summed into one meta-gradient per outer step.
+Every random draw comes from a substream keyed by (purpose, consumer), so
+toggling any augmentation never perturbs the draws of the base algorithm.
 
-All three stages differ only in their step and evaluation; one driver
-(`_fit`) runs the steps, the evaluation cadence, early stopping, the
-history and the divergence check for each of them.
+All three stages differ only in their gradient, learning rate and
+evaluation; one training loop (`_fit`) owns the Adam state and runs the
+updates, the evaluation cadence, early stopping, the history and the
+divergence check for each of them.
 """
 
 from __future__ import annotations
@@ -94,34 +94,42 @@ class TrainedModel:
     best_value: float
 
 
-def _fit(params, step, evaluate, stopper: EarlyStopper, max_steps: int,
+def _fit(flat: np.ndarray, gradient, lr, evaluate, stopper: EarlyStopper, max_steps: int,
          eval_every: int) -> TrainedModel:
-    """Run up to max_steps of `step(params, k) -> (params', record)`.
+    """Run up to max_steps Adam updates of the vector flat: step k applies
+    `gradient(flat, k) -> (stats, grads)` at `lr(k)` and records
+    {"step": k, "lr": lr(k), **stats}.
 
-    After every eval_every-th step, `evaluate(params) -> (name, value)` adds
+    After every eval_every-th step, `evaluate(flat) -> (name, value)` adds
     its value to the step's record and feeds the early stopper, which ends
     the run once its patience runs out. A non-finite record value ends the
     run with TrainingDivergedError at that step, which carries the history
     so far. The numerics do not check their inputs (data is checked when
-    read), so non-finite parameters show up as a non-finite loss or evaluation.
+    read), so non-finite parameters show up as a non-finite loss or
+    evaluation. The stage gives the returned vector its layout.
     """
     if sys.platform == "linux":  # glibc's malloc thresholds, fixed: see README
         for param, value in ((-3, 32 << 20), (-1, 64 << 20)):  # M_MMAP_, M_TRIM_THRESHOLD
             ctypes.CDLL(None).mallopt(param, value)
+    adam_state = AdamState.init(flat)
     history: list[dict] = []
     for k in range(max_steps):
         evaluated = (k + 1) % eval_every == 0
-        params, record = step(params, k)
+        stats, grads = gradient(flat, k)
+        rate = lr(k)
+        adam_state, flat = adam_step(adam_state, flat, grads, rate)
+        del grads  # spent: not held through the next step's gradient
+        record = {"step": k, "lr": rate, **stats}
         if evaluated:
-            name, value = evaluate(params)
+            name, value = evaluate(flat)
             record[name] = value
         bad = [key for key, v in record.items() if not math.isfinite(v)]
         if bad:
             raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}", history)
         history.append(record)
-        if evaluated and stopper.update(value, k, params):
+        if evaluated and stopper.update(value, k, flat):
             break
-    best = stopper.best_params if stopper.best_params is not None else params
+    best = stopper.best_params if stopper.best_params is not None else flat
     best_value = stopper.best_value if stopper.best_value is not None else math.nan
     return TrainedModel(best, history, len(history), stopper.best_step, best_value)
 
@@ -215,25 +223,18 @@ def _episodes(tasks: list[Task], cfg: RunConfig, bundle: StreamBundle) -> np.nda
     return rows
 
 
-def meta_step(
-    theta: ModelParams,
-    adam_state: AdamState,
-    tasks: list[Task],
-    cfg: RunConfig,
-    bundle: StreamBundle,
-):
-    """One outer update over all real tasks plus any synthetic ones.
+def meta_step(theta: ModelParams, tasks: list[Task], cfg: RunConfig, bundle: StreamBundle):
+    """(stats, meta-gradient) of one outer step over all real tasks plus any
+    synthetic ones: stats is {"mean_task_loss": ...}, the gradient the sum
+    of the units' meta-gradients, a vector in theta's layout.
 
-    Returns (theta', adam_state', stats). The outer step index is
-    adam_state.t, which also drives the cosine schedule. The real units run
-    first, then the synthetic ones, each in groups of up to group_size
-    units; a group's batches are gathered, and a synthetic group's blended,
-    when it runs. Losses and gradients are summed unit by unit in that
-    order, so the group size never moves a result. A group's batches,
-    losses and gradients are dropped once summed, before the next group
-    gathers its batches, so a step holds one group's arrays at a time.
+    The real units run first, then the synthetic ones, each in groups of up
+    to group_size units; a group's batches are gathered, and a synthetic
+    group's blended, when it runs. Losses and gradients are summed unit by
+    unit in that order, so the group size never moves a result. A group's
+    batches, losses and gradients are dropped once summed, before the next
+    group gathers its batches, so a step holds one group's arrays at a time.
     """
-    step = adam_state.t
     aug = cfg.meta.augmentation
     use_metamix = aug in (AUG_METAMIX, AUG_BOTH)
     use_taskmix = aug in (AUG_TASKMIX, AUG_BOTH)
@@ -268,16 +269,12 @@ def meta_step(
                 total_grads += row
         # spent: the next group gathers its batches without this one's
         del episodes, batches, losses, grads, row
-
-    lr = cosine_lr(step, cfg.schedule)
-    adam_state, flat = adam_step(adam_state, theta.flat, total_grads, lr)
-    theta = theta.like(flat)
-    stats = {"step": step, "lr": lr, "mean_task_loss": total_loss / len(keys)}
-    return theta, adam_state, stats
+    return {"mean_task_loss": total_loss / len(keys)}, total_grads
 
 
 def meta_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
-    """Meta-train up to cfg.meta.max_steps outer updates.
+    """Meta-train up to cfg.meta.max_steps outer updates, each one Adam
+    step along meta_step's gradient at the cosine-annealed learning rate.
 
     Every cfg.meta.eval_every steps the mean validation-split loss over the
     training tasks is evaluated (at the current initialization, without
@@ -287,50 +284,45 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
     tasks = dataset.meta_train_tasks
     bundle = StreamBundle(seed)
     theta = initial_params(dataset, cfg, seed)
-    adam_state = AdamState.init(theta.flat)
 
-    def step(theta, _):
-        nonlocal adam_state
-        theta, adam_state, stats = meta_step(theta, adam_state, tasks, cfg, bundle)
-        return theta, stats
-
-    def evaluate(theta):
-        total = sum(split_loss(theta, t, "validation") for t in tasks)
+    def evaluate(flat):
+        total = sum(split_loss(theta.like(flat), t, "validation") for t in tasks)
         return "validation_loss", total / len(tasks)
 
-    stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    return _fit(theta, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every)
+    model = _fit(theta.flat, lambda flat, _: meta_step(theta.like(flat), tasks, cfg, bundle),
+                 lambda k: cosine_lr(k, cfg.schedule), evaluate,
+                 EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE),
+                 cfg.meta.max_steps, cfg.meta.eval_every)
+    return replace(model, params=theta.like(model.params))
 
 
 def finetune(theta: ModelParams, task: Task, cfg: RunConfig) -> TrainedModel:
     """Adapt all parameters to one held-out task.
 
-    Adam on the whole train split as a single deterministic batch; early
-    stopping maximizes validation macro F1 (argmax masked to the task's own
-    classes). The pre-training parameters participate as the baseline
-    evaluation, so fine-tuning can never return something worse than what
-    it started from. Non-finite parameters score NaN, which `_fit` reports
-    as divergence.
+    Adam at the constant cfg.finetune.lr on the whole train split as a
+    single deterministic batch; early stopping maximizes validation macro F1
+    (argmax masked to the task's own classes). The pre-training parameters
+    participate as the baseline evaluation, so fine-tuning can never return
+    something worse than what it started from. Non-finite parameters score
+    NaN, which `_fit` reports as divergence.
     """
     batch = full_split_batch(task, "train")
-    adam_state = AdamState.init(theta.flat)
-    lr = cfg.finetune.lr
 
-    def step(params, k):
-        nonlocal adam_state
-        loss, grads = backward(params, batch)
-        adam_state, flat = adam_step(adam_state, params.flat, grads, lr)
-        return params.like(flat), {"step": k, "lr": lr, "train_loss": loss}
+    def gradient(flat, _):
+        loss, grads = backward(theta.like(flat), batch)
+        return {"train_loss": loss}, grads
 
-    def evaluate(params):
+    def evaluate(flat):
         # argmax over NaN logits is class 0, so a non-finite model would still score
-        if not params.all_finite():
+        if not np.isfinite(flat).all():
             return "validation_macro_f1", math.nan
-        return "validation_macro_f1", split_macro_f1(params, task, "validation")
+        return "validation_macro_f1", split_macro_f1(theta.like(flat), task, "validation")
 
     stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
-    stopper.update(split_macro_f1(theta, task, "validation"), -1, theta)
-    return _fit(theta, step, evaluate, stopper, cfg.finetune.max_steps, cfg.finetune.eval_every)
+    stopper.update(split_macro_f1(theta, task, "validation"), -1, theta.flat)
+    model = _fit(theta.flat, gradient, lambda _: cfg.finetune.lr, evaluate, stopper,
+                 cfg.finetune.max_steps, cfg.finetune.eval_every)
+    return replace(model, params=theta.like(model.params))
 
 
 def _restrict(batch: Batch, n_classes: int) -> Batch:
@@ -369,10 +361,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
         a, b = spans[k]
         return ModelParams(np.concatenate([vec[:n_neck], vec[a:b]]), layouts[k])
 
-    adam_state = AdamState.init(state)
-
-    def step(vec, step_index):
-        nonlocal adam_state
+    def gradient(vec, _):
         total_loss = 0.0
         grads = np.empty_like(vec)
         for k, task in enumerate(tasks):
@@ -386,9 +375,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
             grads[a:b] = g[n_neck:]
             neck = g[:n_neck]
             grads[:n_neck] = grads[:n_neck] + neck if k else neck
-        lr = cosine_lr(adam_state.t, cfg.schedule)
-        adam_state, vec = adam_step(adam_state, vec, grads, lr)
-        return vec, {"step": step_index, "lr": lr, "mean_task_loss": total_loss / len(tasks)}
+        return {"mean_task_loss": total_loss / len(tasks)}, grads
 
     def evaluate(vec):
         total = 0.0
@@ -398,6 +385,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
         return "validation_loss", total / len(tasks)
 
     stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    model = _fit(state, step, evaluate, stopper, cfg.meta.max_steps, cfg.meta.eval_every)
+    model = _fit(state, gradient, lambda k: cosine_lr(k, cfg.schedule), evaluate, stopper,
+                 cfg.meta.max_steps, cfg.meta.eval_every)
     trunk = model.params[:n_neck]
     return replace(model, params=base.like(np.concatenate([trunk, base.flat[n_neck:]])))

@@ -773,7 +773,6 @@ def test_train_with_non_string_task_field_is_a_data_error(tmp_path, capsys, key)
 
 def test_train_with_zero_width_features_is_a_data_error(tmp_path, capsys):
     def zero_width(manifest):
-        manifest["dim"] = 0
         for entry in manifest["tasks"]:
             path = tmp_path / "data" / entry["file"]
             features, labels, n_classes = read_task_file(path)
@@ -919,6 +918,43 @@ def test_convert_onto_malformed_manifest_is_a_data_error(tmp_path, capsys, manif
     assert path.read_bytes() == before
     assert not (out / "t0.tmxf").exists()
 
+
+
+def test_convert_onto_manifest_without_dim_takes_its_tasks_width(tmp_path, capsys):
+    # load_dataset's rule: the first listed task file's width, or with no task
+    # the CSV's own
+    out = tmp_path / "ds"
+    path = out / "manifest.json"
+
+    def convert(task_id: str, header: str) -> int:
+        csv = tmp_path / f"{task_id}.csv"
+        csv.write_text(f"{header}\n0,1,2,3\n1,4,5,6\n")
+        return main(["convert", "--csv", str(csv), "--id", task_id, "--role", "meta_train",
+                     "--out", str(out)])
+
+    out.mkdir()
+    path.write_text(json.dumps({"tasks": []}))
+    assert convert("a", "label,f0,f1,f2") == 0
+    assert json.loads(path.read_text()) == {"tasks": [
+        {"id": "a", "role": "meta_train", "file": "a.tmxf"}]}
+    assert convert("b", "label,f0,f1,f2") == 0
+    assert [t["id"] for t in json.loads(path.read_text())["tasks"]] == ["a", "b"]
+    capsys.readouterr()
+    assert convert("c", "label,f0,f1,f2,f3") == 3
+    assert_one_error_line(capsys, tmp_path / "c.csv")
+
+
+@pytest.mark.parametrize("dim", ["64", 64.0, True, 0], ids=["string", "float", "bool", "zero"])
+def test_manifest_dim_that_is_not_a_positive_integer_is_a_data_error(tmp_path, capsys, dim):
+    manifest = write_dataset(tiny_dataset(seed=44, dim=64), tmp_path / "data")
+    spoilt = json.loads(manifest.read_text())
+    assert spoilt["dim"] == 64
+    spoilt["dim"] = dim
+    manifest.write_text(json.dumps(spoilt))
+    assert train_exit_code(tmp_path, manifest) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(manifest) in lines[0] and "'dim'" in lines[0]
 
 # What a mutated cell field becomes: type swaps (bool included), NaN, the
 # infinities, an integer too large for a float64, negatives, in-range scores.

@@ -418,10 +418,3 @@ def test_views_share_the_flat_vector():
     assert head[1][-1] == 7.0
     # the layout is computed once per geometry and shared
     assert small_net(seed=2, dims=(4, 3, 5, 2)).layout is params.layout
-
-
-def test_all_finite_flag():
-    params = small_net(seed=5)
-    assert params.all_finite()
-    params.layout.views(params.flat)[1][1][0] = np.inf
-    assert not params.all_finite()

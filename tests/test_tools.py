@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,16 @@ def test_bench_json_against_pairs_runs_by_seed(tmp_path, capsys):
     assert bench_json.main(argv) == 1
     assert "without a partner" in capsys.readouterr().err
     assert bench_json.main(argv + ["--seeds", "0-9"]) == 0
+
+
+def test_fingerprint_prints_one_hash_per_case_then_the_total():
+    # hashes are not pinned: the bits are the same on one machine only
+    done = subprocess.run([sys.executable, str(TOOLS / "fingerprint.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) > 1
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
+    labels = [line[66:] for line in lines]
+    assert len(set(labels)) == len(labels)
+    assert labels[-1] == "total"

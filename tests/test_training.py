@@ -103,14 +103,18 @@ def test_meta_step_counts_and_stats():
     ds = tiny_dataset(seed=5)
     cfg = tiny_config()
     theta = initial_params(ds, cfg, 0)
-    adam = AdamState.init(theta.flat)
     bundle = StreamBundle(0)
-    theta2, adam2, stats = meta_step(theta, adam, ds.meta_train_tasks, cfg, bundle)
-    assert stats["step"] == 0
+    stats, grads = meta_step(theta, ds.meta_train_tasks, cfg, bundle)
+    adam2, flat = adam_step(AdamState.init(theta.flat), theta.flat, grads,
+                            cosine_lr(0, cfg.schedule))
     assert adam2.t == 1
-    assert stats["lr"] == cosine_lr(0, cfg.schedule)
     assert np.isfinite(stats["mean_task_loss"])
-    assert not same_params(theta, theta2)
+    assert not same_params(theta, theta.like(flat))
+    # meta_train's first step is that update, recorded as step 0 at the schedule's lr
+    record = meta_train(ds, tiny_config(meta={"max_steps": 1}), seed=0).history[0]
+    assert record["step"] == 0
+    assert record["lr"] == cosine_lr(0, cfg.schedule)
+    assert record["mean_task_loss"] == stats["mean_task_loss"]
 
 
 def test_taskmix_changes_units_not_outer_steps():
@@ -119,15 +123,10 @@ def test_taskmix_changes_units_not_outer_steps():
     mix_cfg = tiny_config(meta={"augmentation": "taskmix"}, mix={"n_synthetic": 2})
     theta = initial_params(ds, plain_cfg, 1)
 
-    _, adam_a, stats_a = meta_step(
-        theta, AdamState.init(theta.flat), ds.meta_train_tasks, plain_cfg, StreamBundle(1)
-    )
-    _, adam_b, stats_b = meta_step(
-        theta, AdamState.init(theta.flat), ds.meta_train_tasks, mix_cfg, StreamBundle(1)
-    )
-    # same number of outer updates either way
-    assert adam_a.t == adam_b.t == 1
-    assert stats_a["step"] == stats_b["step"] == 0
+    stats_a, grads_a = meta_step(theta, ds.meta_train_tasks, plain_cfg, StreamBundle(1))
+    stats_b, grads_b = meta_step(theta, ds.meta_train_tasks, mix_cfg, StreamBundle(1))
+    # one meta-gradient, so one outer update, either way
+    assert grads_a.shape == grads_b.shape == theta.flat.shape
     # the loss average runs over T + N units under taskmix
     assert stats_a["mean_task_loss"] != stats_b["mean_task_loss"]
 
@@ -147,21 +146,21 @@ def test_meta_step_results_do_not_depend_on_group_size(augmentation, grad_mode, 
     for size in (1, 2, 64):
         monkeypatch.setattr(training, "GROUP_BUDGET", size * per_unit)
         assert training.group_size(theta.layout, cfg.meta.batch_size) == size
-        params, adam, bundle = theta, AdamState.init(theta.flat), StreamBundle(0)
+        flat, adam, bundle = theta.flat, AdamState.init(theta.flat), StreamBundle(0)
         stats = []
-        for _ in range(3):
-            params, adam, record = meta_step(params, adam, ds.meta_train_tasks, cfg, bundle)
+        for k in range(3):
+            record, grads = meta_step(theta.like(flat), ds.meta_train_tasks, cfg, bundle)
+            adam, flat = adam_step(adam, flat, grads, cosine_lr(k, cfg.schedule))
             stats.append(json.dumps(record))
-        runs.append((params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t, stats))
+        runs.append((flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t, stats))
     assert runs[0] == runs[1] == runs[2]
 
 
 def _step_peak(theta, tasks, cfg) -> int:
-    """tracemalloc peak of one meta_step from a fresh Adam state."""
-    adam = AdamState.init(theta.flat)
+    """tracemalloc peak of one meta_step."""
     tracemalloc.start()
     try:
-        meta_step(theta, adam, tasks, cfg, StreamBundle(0))
+        meta_step(theta, tasks, cfg, StreamBundle(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
