@@ -45,7 +45,7 @@ from .data import (
 from .errors import ConfigError, DataError, TaskMixError, TrainingDivergedError
 from .evaluation import read_cell, render_report, run_method, summarize, train_phase
 from .nn import ModelParams
-from .synth import generate, preset
+from .synth import preset, task_records
 
 # `--config` names usable in place of a file: full-scale hyperparameters (the
 # RunConfig defaults) matched to the two synthetic corpus shapes.
@@ -130,9 +130,8 @@ def _output_dir(path) -> Path:
 def cmd_synth(args) -> int:
     spec = preset(args.preset, args.scale)
     spec.seed = args.seed
-    dataset = generate(spec)
-    manifest = write_dataset(dataset, _output_dir(args.out))
-    print(manifest)
+    records = task_records(spec)  # checks the spec before --out is made
+    print(write_dataset(records, spec.dim, _output_dir(args.out)))
     return 0
 
 

@@ -17,12 +17,14 @@ import csv
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .rng import PURPOSE_SPLIT, substream
 
 MAGIC = b"TMXF"
 FORMAT_VERSION = 1
@@ -48,7 +50,6 @@ class Task:
     labels: np.ndarray  # [n] int64, values in [0, n_classes)
     splits: dict[str, np.ndarray]  # SPLIT_NAMES -> int64 example indices
     class_weights: np.ndarray  # [C_max] float64, zero beyond n_classes
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -161,10 +162,11 @@ def read_task_file(path) -> tuple[np.ndarray, np.ndarray, int]:
         raise DataError(f"{path}: feature dimension is 0")
     if n_classes > n:  # every class needs a train example
         raise DataError(f"{path}: header claims {n_classes} classes for {n} records")
-    record = np.dtype([("label", "<u4"), ("feat", "<f4", (dim,))])
-    expected = _HEADER.size + n * record.itemsize
+    # sized here, not by np.dtype, which raises ValueError for a record past a C int
+    expected = _HEADER.size + n * 4 * (1 + dim)
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    record = np.dtype([("label", "<u4"), ("feat", "<f4", (dim,))])
     body = np.frombuffer(raw, dtype=record, count=n, offset=_HEADER.size)
     labels = body["label"].astype(np.int64)
     if n and labels.max() >= n_classes:
@@ -280,14 +282,7 @@ def manifest_dim(manifest: dict, widths) -> int | None:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Load and fully validate a dataset from its manifest.
-
-    Tasks without explicit splits in the manifest are split here (see
-    auto_split), keyed by SPLIT_SEED and the task id. Class weights are
-    always recomputed from the train split.
-    """
-    from .rng import PURPOSE_SPLIT, substream
-
+    """Load and fully validate a dataset from its manifest (see assemble_dataset)."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
@@ -295,36 +290,49 @@ def load_dataset(manifest_path) -> Dataset:
     if not manifest["tasks"]:
         raise DataError(f"{manifest_path}: manifest has no tasks")
 
-    raw_tasks = []
+    records = []
     for entry in manifest["tasks"]:
-        where = f"{manifest_path}: task {entry['id']!r}"
         features, labels, n_classes = read_task_file(manifest_path.parent / entry["file"])
-        if not raw_tasks:
+        if not records:
             dim = manifest_dim(manifest, [features.shape[1]])
         if features.shape[1] != dim:
-            raise DataError(f"{where}: feature dimension {features.shape[1]} != dataset dim {dim}")
-        raw_tasks.append((entry, where, features, labels, n_classes))
+            raise DataError(f"{manifest_path}: task {entry['id']!r}: feature dimension "
+                            f"{features.shape[1]} != dataset dim {dim}")
+        records.append({**entry, "n_classes": n_classes, "features": features, "labels": labels})
+    return assemble_dataset(records, dim, manifest_path)
 
-    c_max = max(n_classes for *_, n_classes in raw_tasks)
 
+def assemble_dataset(records: Iterable[dict], dim: int, source) -> Dataset:
+    """The Dataset of task records, each a manifest entry ("id", "role", and
+    "splits" unless auto_split is to make them) with its task file's
+    "n_classes", "features" and "labels". Errors name source and the task.
+
+    Splits given as lists of indices are checked; missing ones come from
+    auto_split, keyed by SPLIT_SEED and the task id. Class weights come from
+    the train split, zero-padded to the largest class count.
+    """
+    records = list(records)
+    c_max = max(record["n_classes"] for record in records)
     tasks = []
-    for entry, where, features, labels, n_classes in raw_tasks:
-        if "splits" in entry:
-            splits = _given_splits(entry["splits"], len(labels), where)
+    for record in records:
+        where = f"{source}: task {record['id']!r}"
+        labels, n_classes = record["labels"], record["n_classes"]
+        if "splits" in record:
+            splits = _given_splits(record["splits"], len(labels), where)
         else:
-            splits = auto_split(labels, substream(SPLIT_SEED, PURPOSE_SPLIT, entry["id"]))
+            splits = auto_split(labels, substream(SPLIT_SEED, PURPOSE_SPLIT, record["id"]))
         # meta-training evaluates on validation; meta-test also scores on test
-        needed = SPLIT_NAMES if entry["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
+        needed = SPLIT_NAMES if record["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
         empty = [name for name in needed if len(splits[name]) == 0]
         if empty:
-            raise DataError(f"{where}: {entry['role']} task has an empty {empty[0]} split")
+            raise DataError(f"{where}: {record['role']} task has an empty {empty[0]} split")
         weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
         tasks.append(
             Task(
-                id=entry["id"],
-                role=entry["role"],
+                id=record["id"],
+                role=record["role"],
                 n_classes=n_classes,
-                features=features,
+                features=record["features"],
                 labels=labels,
                 splits=splits,
                 class_weights=weights,
@@ -336,23 +344,21 @@ def load_dataset(manifest_path) -> Dataset:
     return Dataset(tasks=tasks, dim=int(dim), c_max=int(c_max))
 
 
-def write_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write one TMXF file per task plus a manifest carrying explicit splits."""
+def write_dataset(records: Iterable[dict], dim: int, out_dir) -> Path:
+    """Write each task record (see assemble_dataset) to a TMXF file as it
+    arrives, then the manifest of all of them. A record's keys other than its
+    file's contents, such as synth's "centroids", go into its manifest entry."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for task in dataset.tasks:
-        filename = f"{task.id}.tmxf"
-        write_task_file(out_dir / filename, task.features, task.labels, task.n_classes)
-        entry = {
-            "id": task.id,
-            "role": task.role,
-            "file": filename,
-            "splits": {name: idx.tolist() for name, idx in task.splits.items()},
-        }
-        entry.update(task.metadata)
+    for record in records:
+        entry = {k: v for k, v in record.items() if k not in ("n_classes", "features", "labels")}
+        entry["file"] = f"{record['id']}.tmxf"
+        write_task_file(out_dir / entry["file"], record["features"], record["labels"],
+                        record["n_classes"])
         entries.append(entry)
-    manifest = {"dim": dataset.dim, "tasks": entries}
+        del record  # free this task before the next is drawn
+    manifest = {"dim": dim, "tasks": entries}
     manifest_path = out_dir / "manifest.json"
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
@@ -418,13 +424,6 @@ def sample_rows(
     """batch_size row indices drawn uniformly, with replacement, from the split."""
     pool = task.splits[split]
     return pool[rng.integers(0, len(pool), size=int(batch_size))]
-
-
-def sample_batch(
-    task: Task, split: str, batch_size: int, rng: np.random.Generator
-) -> Batch:
-    """The rows of sample_rows, gathered."""
-    return gather_batch(task, sample_rows(task, split, batch_size, rng))
 
 
 def full_split_batch(task: Task, split: str) -> Batch:

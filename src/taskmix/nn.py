@@ -101,9 +101,6 @@ class ModelParams:
         """Another vector in this model's layout, as parameters."""
         return ModelParams(flat, self.layout)
 
-    def copy(self) -> ModelParams:
-        return self.like(self.flat.copy())
-
 
 # ---------------------------------------------------------------------------
 # Initialization and forward pass

@@ -75,9 +75,8 @@ class EarlyStopper:
     """Stops after `patience` (>= 1, as config validation ensures)
     consecutive non-improving evaluations, toward MINIMIZE or MAXIMIZE.
 
-    Keeps a copy of the best-scoring parameter vector (anything with a
-    `.copy()` that owns its memory); the snapshot is the training result,
-    never the last step's parameters.
+    Keeps a copy of the best-scoring flat parameter vector; the snapshot is
+    the training result, never the last step's parameters.
     """
 
     patience: int

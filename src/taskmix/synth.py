@@ -10,6 +10,7 @@ class imbalance of intent data.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,8 @@ from .data import (
     Dataset,
     ROLE_META_TEST,
     ROLE_META_TRAIN,
-    Task,
+    assemble_dataset,
     auto_split,
-    compute_class_weights,
     largest_remainders,
 )
 from .errors import ConfigError
@@ -83,9 +83,7 @@ def _zipf_counts(n: int, n_classes: int, exponent: float) -> np.ndarray:
     return counts
 
 
-def _make_task(
-    task_id: str, role: str, spec: SynthSpec, palette: np.ndarray, c_max: int
-) -> Task:
+def _make_task(task_id: str, role: str, spec: SynthSpec, palette: np.ndarray) -> dict:
     rng = substream(spec.seed, PURPOSE_SYNTH, task_id)
     n_classes = int(rng.integers(spec.classes_min, spec.classes_max + 1))
     centroid_ids = rng.choice(spec.palette_size, size=n_classes, replace=False)
@@ -102,21 +100,20 @@ def _make_task(
     features, labels = features[order].astype(np.float32), labels[order]
 
     splits = auto_split(labels, substream(spec.seed, PURPOSE_SPLIT, task_id))
-    weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
-    return Task(
-        id=task_id,
-        role=role,
-        n_classes=n_classes,
-        features=features,
-        labels=labels,
-        splits=splits,
-        class_weights=weights,
-        metadata={"centroids": [int(c) for c in centroid_ids]},
-    )
+    return {
+        "id": task_id,
+        "role": role,
+        "n_classes": n_classes,
+        "features": features,
+        "labels": labels,
+        "splits": {name: idx.tolist() for name, idx in splits.items()},
+        "centroids": [int(c) for c in centroid_ids],
+    }
 
 
-def generate(spec: SynthSpec) -> Dataset:
-    """Build a full dataset (tasks, splits, class weights) in memory.
+def task_records(spec: SynthSpec) -> Iterator[dict]:
+    """The spec's tasks as records (see data.assemble_dataset), each made when
+    it is drawn; the spec is checked on the call, before any is made.
 
     Determinism contract: every random choice flows from (spec.seed, task id)
     substreams, so regenerating with the same spec is bit-identical and
@@ -124,21 +121,14 @@ def generate(spec: SynthSpec) -> Dataset:
     """
     spec.validate()
     palette = _palette(spec, substream(spec.seed, PURPOSE_SYNTH, "palette"))
-
-    # class counts are drawn per task, so fix the padded width first
     plan = [(f"train_{i:02d}", ROLE_META_TRAIN) for i in range(spec.n_train_tasks)]
     plan += [(f"test_{i:02d}", ROLE_META_TEST) for i in range(spec.n_test_tasks)]
-    widths = [
-        int(substream(spec.seed, PURPOSE_SYNTH, task_id).integers(spec.classes_min,
-                                                                  spec.classes_max + 1))
-        for task_id, _ in plan
-    ]
-    c_max = max(widths)
+    return (_make_task(task_id, role, spec, palette) for task_id, role in plan)
 
-    tasks = [
-        _make_task(task_id, role, spec, palette, c_max) for task_id, role in plan
-    ]
-    return Dataset(tasks=tasks, dim=spec.dim, c_max=c_max)
+
+def generate(spec: SynthSpec) -> Dataset:
+    """The spec's full dataset (tasks, splits, class weights) in memory."""
+    return assemble_dataset(task_records(spec), spec.dim, f"synth seed {spec.seed}")
 
 
 _PRESETS = {

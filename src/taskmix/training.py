@@ -50,7 +50,6 @@ from .data import (
     empty_batch,
     full_split_batch,
     gather_batch,
-    sample_batch,
     sample_rows,
 )
 from .errors import TrainingDivergedError
@@ -365,10 +364,8 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
         total_loss = 0.0
         grads = np.empty_like(vec)
         for k, task in enumerate(tasks):
-            batch = _restrict(
-                sample_batch(task, "train", cfg.meta.batch_size, bundle.batch(task.id)),
-                task.n_classes,
-            )
+            rows = sample_rows(task, "train", cfg.meta.batch_size, bundle.batch(task.id))
+            batch = _restrict(gather_batch(task, rows), task.n_classes)
             loss, g = backward(task_model(vec, k), batch)
             total_loss += loss
             a, b = spans[k]

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 import taskmix
 from taskmix.cli import _resolve_config, build_parser, main
 from taskmix.config import RunConfig, from_dict, to_dict
-from taskmix.data import load_dataset, read_task_file, write_dataset, write_task_file
+from taskmix.data import load_dataset, read_task_file, write_task_file
 from taskmix.evaluation import train_phase
 
-from util import tiny_config, tiny_dataset
+from util import tiny_config, write_tiny
 
 
 def write_config(tmp_path: Path, **sections) -> Path:
@@ -29,7 +30,7 @@ def write_config(tmp_path: Path, **sections) -> Path:
 
 
 def write_tiny_dataset(tmp_path: Path, seed=30) -> Path:
-    return write_dataset(tiny_dataset(seed=seed), tmp_path / "data")
+    return write_tiny(tmp_path / "data", seed=seed)
 
 
 def read_bytes_map(root: Path) -> dict:
@@ -66,6 +67,21 @@ def test_synth_rejects_a_scale_outside_the_budget_or_too_small(tmp_path, scale):
     assert main(["synth", "--preset", "long", "--scale", scale,
                  "--out", str(tmp_path / "d")]) == 2
     assert not (tmp_path / "d").exists()
+
+
+def test_synth_holds_one_task_at_a_time(tmp_path):
+    # the 11 tasks of long at scale 0.2 write 3.9 MB of features; making them
+    # all before writing any peaked at 1.8 times that
+    out = tmp_path / "d"
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--preset", "long", "--scale", "0.2", "--seed", "0",
+                     "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum(read_task_file(path)[0].nbytes for path in out.glob("*.tmxf"))
+    assert peak < written
 
 
 def csv_text(rows):
@@ -784,6 +800,18 @@ def test_train_with_zero_width_features_is_a_data_error(tmp_path, capsys):
     assert f"{first}: feature dimension is 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [2**29, 2**32 - 1])
+def test_train_with_a_header_dim_numpy_cannot_size_is_a_data_error(tmp_path, capsys, dim):
+    # a record of that width does not fit numpy's C-int dtype size: the file's
+    # length must be checked first, or np.dtype raises ValueError
+    manifest = write_tiny_dataset(tmp_path, seed=46)
+    path = manifest.parent / json.loads(manifest.read_text())["tasks"][0]["file"]
+    raw = path.read_bytes()
+    path.write_bytes(raw[:12] + dim.to_bytes(4, "little") + raw[16:])
+    assert train_exit_code(tmp_path, manifest) == 3
+    assert_one_error_line(capsys, path)
+
+
 def test_train_with_duplicate_task_ids_is_a_data_error(tmp_path, capsys):
     def duplicate(manifest):
         manifest["tasks"][-1]["id"] = manifest["tasks"][-2]["id"]
@@ -946,7 +974,7 @@ def test_convert_onto_manifest_without_dim_takes_its_tasks_width(tmp_path, capsy
 
 @pytest.mark.parametrize("dim", ["64", 64.0, True, 0], ids=["string", "float", "bool", "zero"])
 def test_manifest_dim_that_is_not_a_positive_integer_is_a_data_error(tmp_path, capsys, dim):
-    manifest = write_dataset(tiny_dataset(seed=44, dim=64), tmp_path / "data")
+    manifest = write_tiny(tmp_path / "data", seed=44, dim=64)
     spoilt = json.loads(manifest.read_text())
     assert spoilt["dim"] == 64
     spoilt["dim"] = dim
@@ -1006,6 +1034,102 @@ def test_mutated_cells_exit_0_or_3_and_report_rebuilds(tmp_path, capsys):
             written = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
             assert main(["report", "--in", str(out)]) == 0
             assert {name: (out / name).read_bytes() for name in written} == written
+        codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 3}
+
+
+# What a mutated manifest field becomes: the cell values, plus sizes past a
+# u32 or an int64, a role, and another task's id and file.
+MANIFEST_VALUES = MUTANT_VALUES + [2**32, 2**63, "meta_test", "train_01", "train_01.tmxf"]
+
+
+def mutate_manifest(rng: random.Random, text: str) -> bytes:
+    """A manifest's text with one seeded mutation: a top-level, task-entry,
+    split or split-index value replaced, removed, added or duplicated, the
+    bytes truncated, or one bit flipped."""
+    kind = rng.choice(["replace", "remove", "add", "duplicate", "truncate", "flip"])
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[:rng.randrange(len(raw))]
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    manifest = json.loads(text)
+    entry = rng.choice(manifest["tasks"])
+    split = entry["splits"][rng.choice(sorted(entry["splits"]))]
+    fields = rng.choice([manifest, entry, entry["splits"], split])
+    if kind == "duplicate":  # a task entry, a split index or a value of another task
+        if fields is split:
+            split.append(rng.choice(split))
+        elif fields is manifest:
+            manifest["tasks"].append(entry)
+        else:
+            other = rng.choice(manifest["tasks"])
+            other = other if fields is entry else other["splits"]
+            key = rng.choice(sorted(fields))
+            fields[key] = other[key]
+    elif kind == "add":
+        if fields is split:
+            split.append(rng.choice(MANIFEST_VALUES))
+        else:
+            fields["extra"] = rng.choice(MANIFEST_VALUES)
+    elif fields is split:
+        index = rng.randrange(len(split))
+        if kind == "remove":
+            del split[index]
+        else:
+            split[index] = rng.choice(MANIFEST_VALUES)
+    elif kind == "remove":
+        del fields[rng.choice(sorted(fields))]
+    else:
+        fields[rng.choice(sorted(fields))] = rng.choice(MANIFEST_VALUES)
+    return json.dumps(manifest).encode()
+
+
+def mutate_task_file(rng: random.Random, raw: bytes) -> bytes:
+    """A task file's bytes with one seeded mutation: a header field (magic,
+    version, n, D or C) replaced, the bytes truncated or extended, or one bit
+    flipped, in the header or anywhere."""
+    kind = rng.choice(["field", "truncate", "extend", "flip"])
+    header = 20  # five 4-byte fields
+    if kind == "truncate":
+        return raw[:rng.randrange(rng.choice([header, len(raw)]))]
+    if kind == "extend":
+        return raw + bytes(rng.randrange(1, 64))
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[rng.randrange(rng.choice([header, len(raw)]))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    field = rng.randrange(5)
+    old = int.from_bytes(raw[4 * field:4 * field + 4], "little")
+    value = rng.choice([0, 1, 2, 3, old - 1, old + 1, 2 * old, 2**29, 2**31, 2**32 - 1])
+    return raw[:4 * field] + (value % 2**32).to_bytes(4, "little") + raw[4 * field + 4:]
+
+
+def test_mutated_manifests_and_task_files_exit_0_or_3(tmp_path, capsys):
+    # every run loads the whole dataset and trains, fine-tunes and scores with
+    # step budgets of 0, so no case trains however its input was mutated; sizes
+    # come from the task files on disk, which hold at most a few kB
+    manifest = write_tiny_dataset(tmp_path, seed=46)
+    files = sorted(manifest.parent.glob("*.tmxf"))
+    originals = {path: path.read_bytes() for path in [manifest, *files]}
+    argv = ["experiment", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+            "--methods", "maml", "--seeds", "0", "--meta.max_steps", "0",
+            "--finetune.max_steps", "0"]
+    rng = random.Random(20)
+    codes = set()
+    for case in range(400):
+        for path, raw in originals.items():
+            path.write_bytes(raw)
+        if rng.random() < 0.5:
+            manifest.write_bytes(mutate_manifest(rng, originals[manifest].decode()))
+        else:
+            path = rng.choice(files)
+            path.write_bytes(mutate_task_file(rng, originals[path]))
+        code = main(argv + ["--out", str(tmp_path / f"run{case}")])
+        assert code in (0, 2, 3, 4)
         codes.add(code)
     capsys.readouterr()
     assert codes == {0, 3}

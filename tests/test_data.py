@@ -15,18 +15,18 @@ from taskmix.data import (
     auto_split,
     compute_class_weights,
     full_split_batch,
+    gather_batch,
     load_dataset,
     one_hot,
     read_csv_features,
     read_task_file,
-    sample_batch,
-    write_dataset,
+    sample_rows,
     write_task_file,
 )
 from taskmix.errors import DataError
 from taskmix.rng import PURPOSE_SPLIT, substream
 
-from util import tiny_dataset
+from util import tiny_dataset, write_tiny
 
 
 def test_class_weights_hand_case():
@@ -162,7 +162,7 @@ def test_auto_split_errors():
 
 def test_write_load_roundtrip(tmp_path):
     ds = tiny_dataset(seed=3)
-    manifest = write_dataset(ds, tmp_path / "ds")
+    manifest = write_tiny(tmp_path / "ds", seed=3)
     loaded = load_dataset(manifest)
     assert loaded.dim == ds.dim
     assert loaded.c_max == ds.c_max
@@ -185,14 +185,12 @@ def test_interrupted_manifest_write_leaves_no_manifest_behind(tmp_path, monkeypa
     out = tmp_path / "ds"
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        write_dataset(tiny_dataset(seed=3), out)
+        write_tiny(out, seed=3)
     assert not any(path.suffix != ".tmxf" for path in out.iterdir())
 
 
 def test_load_dataset_auto_split_path(tmp_path):
-    ds = tiny_dataset(seed=4)
-    out = tmp_path / "ds"
-    manifest_path = write_dataset(ds, out)
+    manifest_path = write_tiny(tmp_path / "ds", seed=4)
     manifest = json.loads(manifest_path.read_text())
     for entry in manifest["tasks"]:
         del entry["splits"]
@@ -262,7 +260,7 @@ def test_load_dataset_error_cases(tmp_path):
 
 def test_meta_train_task_may_leave_its_test_split_empty(tmp_path):
     # meta-training reads only train and validation; meta_test tasks need all three
-    manifest_path = write_dataset(tiny_dataset(seed=6), tmp_path / "ds")
+    manifest_path = write_tiny(tmp_path / "ds", seed=6)
     manifest = json.loads(manifest_path.read_text())
     entry = manifest["tasks"][0]
     assert entry["role"] == ROLE_META_TRAIN
@@ -294,7 +292,8 @@ def make_task(n=20, d=3, n_classes=2, c_max=4):
 def test_sample_batch_properties():
     task = make_task()
     rng = np.random.default_rng(8)
-    batch = sample_batch(task, "train", 64, rng)  # larger than the 14-row pool
+    rows = sample_rows(task, "train", 64, rng)  # larger than the 14-row pool
+    batch = gather_batch(task, rows)
     assert batch.x.shape == (64, 3)
     assert batch.y.shape == (64, 4)
     assert np.allclose(batch.y.sum(axis=1), 1.0)
@@ -305,15 +304,15 @@ def test_sample_batch_properties():
 
 def test_sample_batch_deterministic():
     task = make_task()
-    a = sample_batch(task, "train", 16, substream(3, "batch", task.id))
-    b = sample_batch(task, "train", 16, substream(3, "batch", task.id))
+    a = gather_batch(task, sample_rows(task, "train", 16, substream(3, "batch", task.id)))
+    b = gather_batch(task, sample_rows(task, "train", 16, substream(3, "batch", task.id)))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
 
 
 def test_sample_batch_rows_come_from_split():
     task = make_task()
-    batch = sample_batch(task, "validation", 32, np.random.default_rng(0))
+    batch = gather_batch(task, sample_rows(task, "validation", 32, np.random.default_rng(0)))
     pool_rows = task.features[task.splits["validation"]]
     for row in batch.x:
         assert any(np.array_equal(row, p) for p in pool_rows)

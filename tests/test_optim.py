@@ -195,16 +195,17 @@ def test_early_stopper_snapshot_owns_its_views():
     # writing into the live vector, or through its views, after the update
     # leaves the snapshot alone; the snapshot's views read its own vector
     stopper = EarlyStopper(patience=3, direction=MINIMIZE)
-    live = small_net(seed=3, dims=(4, 3, 2))
-    before = live.flat.copy()
+    net = small_net(seed=3, dims=(4, 3, 2))
+    live, layout = net.flat, net.layout
+    before = live.copy()
     stopper.update(1.0, 0, live)
-    live.flat[:] = -1.0
-    live.layout.views(live.flat)[1][0][...] = 9.0
+    live[:] = -1.0
+    layout.views(live)[1][0][...] = 9.0
     best = stopper.best_params
-    assert np.array_equal(best.flat, before)
-    assert not np.shares_memory(best.flat, live.flat)
-    leaves = _leaves(best.layout, best.flat)
-    assert all(np.shares_memory(a, best.flat) for a in leaves)
+    assert np.array_equal(best, before)
+    assert not np.shares_memory(best, live)
+    leaves = _leaves(layout, best)
+    assert all(np.shares_memory(a, best) for a in leaves)
     assert np.array_equal(np.concatenate([a.ravel() for a in leaves]), before)
 
 

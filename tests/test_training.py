@@ -10,7 +10,7 @@ import pytest
 
 from taskmix import mixing
 from taskmix.config import AUGMENTATIONS
-from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, sample_batch
+from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, gather_batch, sample_rows
 from taskmix.errors import TrainingDivergedError
 from taskmix.nn import GRAD_MODES, backward
 from taskmix.optim import AdamState, adam_step, cosine_lr, sgd_step
@@ -91,7 +91,7 @@ def test_meta_step_degenerates_to_supervised_adam():
     rng = bundle.batch(task.id)
     adam = AdamState.init(theta.flat)
     for _ in range(5):
-        batch = sample_batch(task, "train", cfg.meta.batch_size, rng)
+        batch = gather_batch(task, sample_rows(task, "train", cfg.meta.batch_size, rng))
         _, grads = backward(theta, batch)
         lr = cosine_lr(adam.t, cfg.schedule)
         adam, flat = adam_step(adam, theta.flat, grads, lr)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from taskmix.config import RunConfig, from_dict
-from taskmix.data import Batch, one_hot
+from taskmix.data import Batch, one_hot, write_dataset
 from taskmix.nn import init_params
-from taskmix.synth import SynthSpec, generate
+from taskmix.synth import SynthSpec, generate, task_records
 
 
 def oracle_macro_f1(y_true, y_pred, n_classes):
@@ -61,8 +61,8 @@ def stacked(*batches) -> Batch:
     return Batch(*(np.stack(arrays) for arrays in zip(*((b.x, b.y, b.w) for b in batches))))
 
 
-def tiny_dataset(seed: int = 7, **overrides):
-    """A fast, fully separable-ish dataset for training-loop tests."""
+def tiny_spec(seed: int = 7, **overrides) -> SynthSpec:
+    """A fast, fully separable-ish task family for training-loop tests."""
     kw = dict(
         n_train_tasks=3,
         n_test_tasks=2,
@@ -76,7 +76,17 @@ def tiny_dataset(seed: int = 7, **overrides):
         seed=seed,
     )
     kw.update(overrides)
-    return generate(SynthSpec(**kw))
+    return SynthSpec(**kw)
+
+
+def tiny_dataset(seed: int = 7, **overrides):
+    return generate(tiny_spec(seed, **overrides))
+
+
+def write_tiny(out_dir, seed: int = 7, **overrides):
+    """tiny_dataset's tasks written to out_dir; returns the manifest path."""
+    spec = tiny_spec(seed, **overrides)
+    return write_dataset(task_records(spec), spec.dim, out_dir)
 
 
 def tiny_config(**sections) -> RunConfig:

@@ -4,10 +4,12 @@
 
 Trains on two tiny synthetic corpora (an easy and a noisy one, from
 `synth.generate`) and prints one sha256 per case, then a total over all
-cases. A case hashes the exact bytes of what a stage returns: the trained
-parameter vector, the history records, stopped_at, best_step and best_value.
-Cases:
+cases. A training case hashes the exact bytes of what a stage returns: the
+trained parameter vector, the history records, stopped_at, best_step and
+best_value. Cases:
 
+  * the corpus: the name and bytes of every file `data.write_dataset` writes
+    for the corpus's spec (into a temporary directory, removed after);
   * meta_train for every augmentation x grad_mode, at hidden [] (head only),
     [8] and [8, 6, 5], with patience 3 and 1;
   * mtl_train;
@@ -24,7 +26,7 @@ Cases:
 
 Two source trees give the same results exactly when they print the same
 lines, so run it before and after a change that must not move any number.
-It takes no flags and writes no files.
+It takes no flags and leaves no files behind.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taskmix.config import AUGMENTATIONS, METHODS, from_dict  # noqa: E402
 from taskmix import evaluation  # noqa: E402
+from taskmix.data import write_dataset  # noqa: E402
 from taskmix.nn import GRAD_MODES  # noqa: E402
-from taskmix.synth import SynthSpec, generate  # noqa: E402
+from taskmix.synth import SynthSpec, generate, task_records  # noqa: E402
 from taskmix.training import finetune, initial_params, meta_train, mtl_train  # noqa: E402
 
 CORPORA = {
@@ -48,10 +52,10 @@ CORPORA = {
 }
 
 
-def corpus(noise_scale: float, seed: int):
-    return generate(SynthSpec(n_train_tasks=3, n_test_tasks=2, classes_min=2, classes_max=3,
-                              examples_per_task=48, dim=6, palette_size=4,
-                              noise_scale=noise_scale, seed=seed))
+def corpus_spec(noise_scale: float, seed: int) -> SynthSpec:
+    return SynthSpec(n_train_tasks=3, n_test_tasks=2, classes_min=2, classes_max=3,
+                     examples_per_task=48, dim=6, palette_size=4,
+                     noise_scale=noise_scale, seed=seed)
 
 
 def config(hidden=(8,), patience=3, grad_mode="first_order", augmentation="none"):
@@ -73,6 +77,14 @@ def digest(*parts) -> str:
     for part in parts:
         h.update(part if isinstance(part, bytes) else json.dumps(part, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def corpus_digest(spec: SynthSpec) -> str:
+    """sha256 of the name and bytes of each file write_dataset writes for spec."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(task_records(spec), spec.dim, tmp)
+        return digest(*(part for path in sorted(Path(tmp).iterdir())
+                        for part in (path.name, path.read_bytes())))
 
 
 def model_digest(model) -> str:
@@ -100,8 +112,10 @@ def trial_digest(ds, method: str, cfg) -> str:
 
 def cases():
     """(name, sha256) of every case, in a fixed order."""
-    for name, spec in CORPORA.items():
-        ds = corpus(**spec)
+    for name, kwargs in CORPORA.items():
+        spec = corpus_spec(**kwargs)
+        yield f"{name} corpus", corpus_digest(spec)
+        ds = generate(spec)
         for hidden in ((), (8,), (8, 6, 5)):
             for patience in (3, 1):
                 for grad_mode in GRAD_MODES:
