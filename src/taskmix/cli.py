@@ -14,7 +14,6 @@ error (DataError), 4 training divergence (TrainingDivergedError).
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -60,32 +59,31 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"override config key {dotted}")
 
 
-def _read_config(name: str) -> dict:
-    """The config dict of a JSON file, or else of a preset of that name."""
+def _read_config(name: str) -> RunConfig:
+    """The config of a JSON file, or else of a preset of that name."""
     path = Path(name)
     if not path.exists():
         if name in PRESETS:
-            return copy.deepcopy(PRESETS[name])
+            return from_dict(PRESETS[name])
         raise ConfigError(f"config file not found: {name}")
     data = read_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: config must be a JSON object")
-    return data
+    return from_dict(data)
 
 
 def _resolve_config(args: argparse.Namespace, methods=None) -> RunConfig:
-    """The config of the file or preset, the override flags, then validated.
+    """The config of the file or preset with each override flag set, validated.
 
     Each method trains with its own augmentation, so meta.augmentation must be
     none or that of every method run (methods, default [cfg.method]).
     """
-    data = _read_config(args.config) if args.config else {}
+    cfg = _read_config(args.config) if args.config else RunConfig()
     flags = vars(args)
     for dotted, tp in leaf_types().items():
         raw = flags.get(dotted)
         if raw is not None:
-            set_dotted(data, dotted, parse_flag_value(raw, tp, dotted))
-    cfg = from_dict(data)
+            set_dotted(cfg, dotted, parse_flag_value(raw, tp, dotted))
     cfg.validate()
     for method in methods or [cfg.method]:
         if cfg.meta.augmentation not in (AUG_NONE, METHOD_AUGMENTATION.get(method)):

@@ -4,15 +4,14 @@ A run is fully described by one JSON document with sections (model, meta,
 schedule, finetune, mix) plus top-level keys (dataset, method, seeds, out).
 Loading is strict: unknown keys and wrongly typed values are rejected with
 the offending dotted key named, so a typo never silently falls back to a
-default. Every leaf is addressable by its dotted name, which is what the
-command line exposes as override flags.
+default. Every leaf is addressable by its dotted name: the command line's
+override flag of that name sets it on the config built from the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -115,6 +114,9 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
+        for seed in self.seeds:  # rng.substream keeps 64 bits; a cell file name holds it
+            if not -(1 << 63) <= seed < 1 << 63:
+                raise ConfigError(f"seeds entries must be 64-bit integers, got {seed}")
         for h in self.model.hidden:
             if h < 1:
                 raise ConfigError(f"model.hidden entries must be >= 1, got {h}")
@@ -168,59 +170,47 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _type_name(tp) -> str:
-    return getattr(tp, "__name__", str(tp))
-
-
-def _is_union(origin) -> bool:
-    return origin is typing.Union or origin is types.UnionType
+def _optional(tp):
+    """(X, True) for a type `X | None`, else (tp, False): the one rule by which
+    a file's null and a flag's none or null set an optional key."""
+    args = typing.get_args(tp)
+    return (args[0], True) if type(None) in args else (tp, False)
 
 
 def _coerce(value, tp, path: str):
-    origin = typing.get_origin(tp)
-    if _is_union(origin):
-        args = [a for a in typing.get_args(tp) if a is not type(None)]
-        if value is None:
-            if len(args) < len(typing.get_args(tp)):
-                return None
-            raise ConfigError(f"config key {path!r} must not be null")
-        return _coerce(value, args[0], path)
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path)
-    if origin is list:
+    tp, optional = _optional(tp)
+    if value is None and optional:
+        return None
+    if typing.get_origin(tp) is list:
         if not isinstance(value, list):
             raise ConfigError(f"config key {path!r} expects a list, got {value!r}")
         (elem_tp,) = typing.get_args(tp)
         return [_coerce(v, elem_tp, f"{path}[{i}]") for i, v in enumerate(value)]
-    if tp is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if tp is float:  # an int of 1,024 bits or more is refused: float() may overflow on it
+        if not (isinstance(value, float) or type(value) is int and value.bit_length() < 1024):
             raise ConfigError(f"config key {path!r} expects a number, got {value!r}")
         return float(value)
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {path!r} expects an integer, got {value!r}")
         return int(value)
-    if tp is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {path!r} expects a string, got {value!r}")
-        return value
-    raise ConfigError(f"config key {path!r} has unsupported type {_type_name(tp)}")
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {path!r} expects a string, got {value!r}")
+    return value
 
 
 def _build(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or 'root'!r} must be an object, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in known:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key {dotted!r}")
+    hints = typing.get_type_hints(cls)  # each field's type, so also the known keys
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in data:
-            dotted = f"{path}.{f.name}" if path else f.name
-            kwargs[f.name] = _coerce(data[f.name], hints[f.name], dotted)
+    for key, value in data.items():
+        dotted = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown config key {dotted!r}")
+        kwargs[key] = _coerce(value, hints[key], dotted)
     return cls(**kwargs)
 
 
@@ -257,38 +247,27 @@ def to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def set_dotted(data: dict, dotted: str, value) -> None:
-    """Set a (possibly nested) key in a plain config dict."""
-    parts = dotted.split(".")
-    node = data
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"config key {dotted!r} clashes with a non-section value")
-    node[parts[-1]] = value
+def set_dotted(cfg: RunConfig, dotted: str, value) -> None:
+    """Set a leaf of a built config by its dotted key."""
+    *sections, key = dotted.split(".")
+    node = cfg
+    for section in sections:
+        node = getattr(node, section)
+    setattr(node, key, value)
 
 
 def parse_flag_value(text: str, tp, dotted: str):
     """Parse a command-line override string into the leaf's declared type."""
-    origin = typing.get_origin(tp)
-    if _is_union(origin):
-        args = [a for a in typing.get_args(tp) if a is not type(None)]
-        if text.lower() in ("none", "null"):
-            return None
-        return parse_flag_value(text, args[0], dotted)
-    if origin is list:
+    tp, optional = _optional(tp)
+    if optional and text.lower() in ("none", "null"):
+        return None
+    if typing.get_origin(tp) is list:
         (elem_tp,) = typing.get_args(tp)
         items = [s for s in text.split(",") if s != ""]
         return [parse_flag_value(s, elem_tp, dotted) for s in items]
+    if tp is str:
+        return text
     try:
-        if tp is int:
-            return int(text)
-        if tp is float:
-            return float(text)
-        if tp is str:
-            return text
+        return tp(text)
     except ValueError:
-        raise ConfigError(
-            f"flag --{dotted} expects {_type_name(tp)}, got {text!r}"
-        ) from None
-    raise ConfigError(f"flag --{dotted} has unsupported type {_type_name(tp)}")
+        raise ConfigError(f"flag --{dotted} expects {tp.__name__}, got {text!r}") from None

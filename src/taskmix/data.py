@@ -347,9 +347,14 @@ def assemble_dataset(records: Iterable[dict], dim: int, source) -> Dataset:
 def write_dataset(records: Iterable[dict], dim: int, out_dir) -> Path:
     """Write each task record (see assemble_dataset) to a TMXF file as it
     arrives, then the manifest of all of them. A record's keys other than its
-    file's contents, such as synth's "centroids", go into its manifest entry."""
+    file's contents, such as synth's "centroids", go into its manifest entry.
+
+    An existing manifest is removed first, so a write interrupted over an
+    older corpus leaves no manifest, not the old one over some new tasks."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     entries = []
     for record in records:
         entry = {k: v for k, v in record.items() if k not in ("n_classes", "features", "labels")}
@@ -359,7 +364,6 @@ def write_dataset(records: Iterable[dict], dim: int, out_dir) -> Path:
         entries.append(entry)
         del record  # free this task before the next is drawn
     manifest = {"dim": dim, "tasks": entries}
-    manifest_path = out_dir / "manifest.json"
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
 
@@ -440,7 +444,7 @@ def read_csv_features(csv_path) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse `label,f0,...,f{D-1}` rows into (features, labels, n_classes)."""
     csv_path = Path(csv_path)
     try:
-        fh = open(csv_path, newline="")
+        fh = open(csv_path, newline="", errors="replace")  # U+FFFD fails every field's check
     except OSError as exc:
         raise DataError(f"{csv_path}: cannot read CSV file ({exc.strerror})") from exc
     with fh:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,13 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
+def check_size(n: int) -> None:
+    """MemoryError for an array of n elements (of 8 bytes at most) past
+    numpy's index range, where numpy would raise ValueError."""
+    if n > sys.maxsize // 8:
+        raise MemoryError(f"{n} elements are past numpy's index range")
+
+
 def init_params(
     dims: tuple[int, ...], rng: np.random.Generator, dtype=np.float32
 ) -> ModelParams:
@@ -115,6 +123,7 @@ def init_params(
     dims is (input_dim, *hidden, n_classes), as in layout_for.
     """
     layout = layout_for(dims)
+    check_size(layout.size)
     flat = np.zeros(layout.size, dtype=dtype)
     layers, (head_weight, _) = layout.views(flat)
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    ROLE_META_TEST,
-    ROLE_META_TRAIN,
-    assemble_dataset,
-    auto_split,
-    largest_remainders,
-)
+from .data import ROLE_META_TEST, ROLE_META_TRAIN, auto_split, largest_remainders
 from .errors import ConfigError
 from .rng import PURPOSE_SPLIT, PURPOSE_SYNTH, substream
 
@@ -124,11 +117,6 @@ def task_records(spec: SynthSpec) -> Iterator[dict]:
     plan = [(f"train_{i:02d}", ROLE_META_TRAIN) for i in range(spec.n_train_tasks)]
     plan += [(f"test_{i:02d}", ROLE_META_TEST) for i in range(spec.n_test_tasks)]
     return (_make_task(task_id, role, spec, palette) for task_id, role in plan)
-
-
-def generate(spec: SynthSpec) -> Dataset:
-    """The spec's full dataset (tasks, splits, class weights) in memory."""
-    return assemble_dataset(task_records(spec), spec.dim, f"synth seed {spec.seed}")
 
 
 _PRESETS = {

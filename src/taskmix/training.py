@@ -60,6 +60,7 @@ from .nn import (
     ModelParams,
     backprop_through_trace,
     backward,
+    check_size,
     forward,
     init_params,
     layout_for,
@@ -214,6 +215,7 @@ def _episodes(tasks: list[Task], cfg: RunConfig, bundle: StreamBundle) -> np.nda
     """Row indices [T, S + 1, B] of every task's batches of one outer step: a
     task's S = inner_steps support batches, then its query batch, each drawn
     from its train split with its own batch substream."""
+    check_size(len(tasks) * (cfg.meta.inner_steps + 1) * cfg.meta.batch_size)
     rows = np.empty((len(tasks), cfg.meta.inner_steps + 1, cfg.meta.batch_size), np.int64)
     for task, task_rows in zip(tasks, rows):
         rng = bundle.batch(task.id)
@@ -341,6 +343,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
     trained.
     """
     tasks = dataset.meta_train_tasks
+    check_size(cfg.meta.batch_size)  # each task's batch rows
     bundle = StreamBundle(seed)
     init_rng = bundle.init()
     base = init_params((dataset.dim, *cfg.model.hidden, dataset.c_max), init_rng)

@@ -4,9 +4,10 @@ no input errors.
 Every public top-level function and class in src/taskmix/*.py, and every
 public method and property of those classes, must be referenced somewhere
 other than its own definition: by code in a package
-module (not __init__.py, whose re-exports call nothing), by the benchmark
-harness under perfbench/ (which also names traced functions in strings such
-as "nn.backward"), or as a console-script entry point in pyproject.toml.
+module (not __init__.py, whose re-exports call nothing), by code in the
+benchmark harness under perfbench/, or as a console-script entry point in
+pyproject.toml. The names of traced functions in perfbench's strings (such
+as "nn.backward") do not count: the tracer skips a name that is absent.
 
 Input is checked once, where it enters (see errors.py), so the numeric
 modules never name ConfigError or DataError, not even in an import.
@@ -20,17 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "taskmix"
 
 
-def used_names(tree, with_strings=False):
-    """(identifier, line) for every name and attribute the code uses; with
-    with_strings, also every word inside a string constant."""
+def used_names(tree):
+    """(identifier, line) for every name and attribute the code uses."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for word in re.findall(r"\w+", node.value):
-                yield word, node.lineno
 
 
 def public_definitions(tree):
@@ -57,7 +54,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     outside = {
         word
         for path in sorted((ROOT / "perfbench").glob("*.py"))
-        for word, _ in used_names(ast.parse(path.read_text()), with_strings=True)
+        for word, _ in used_names(ast.parse(path.read_text()))
     }
     outside |= set(re.findall(r'"taskmix\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import taskmix
+from taskmix import data
 from taskmix.cli import _resolve_config, build_parser, main
-from taskmix.config import RunConfig, from_dict, to_dict
+from taskmix.config import RunConfig, from_dict, leaf_types, to_dict
 from taskmix.data import load_dataset, read_task_file, write_task_file
 from taskmix.evaluation import train_phase
 
@@ -82,6 +83,30 @@ def test_synth_holds_one_task_at_a_time(tmp_path):
         tracemalloc.stop()
     written = sum(read_task_file(path)[0].nbytes for path in out.glob("*.tmxf"))
     assert peak < written
+
+
+def test_interrupted_synth_over_a_corpus_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    # the old manifest outlived the interruption and loaded seed 1's first
+    # three tasks under seed 0's splits, as one corpus
+    out = tmp_path / "d"
+    argv = ["synth", "--preset", "long", "--out", str(out)]
+    assert main(argv + ["--seed", "0"]) == 0
+    written = []
+
+    def write_three(path, *arrays):
+        if len(written) == 3:
+            raise KeyboardInterrupt
+        write_task_file(path, *arrays)
+        written.append(path)
+
+    monkeypatch.setattr(data, "write_task_file", write_three)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--seed", "1"])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["train", "--config", str(write_config(tmp_path)), "--meta.max_steps", "0",
+                 "--dataset", str(out / "manifest.json"), "--out", str(tmp_path / "run")]) == 3
+    assert "manifest not found" in capsys.readouterr().err
 
 
 def csv_text(rows):
@@ -357,6 +382,43 @@ def test_presets_are_the_defaults_with_their_trunk(tmp_path, monkeypatch):
     assert resolved_twice["model"]["hidden"] == [5] and resolved("wide") == wide
 
 
+def test_config_file_must_be_valid_on_its_own(tmp_path, capsys):
+    # a flag sets its key on the config built from the file, so it no longer
+    # hides a wrongly typed file value
+    manifest = write_tiny_dataset(tmp_path, seed=36)
+    data = to_dict(tiny_config())
+    data["meta"]["max_steps"] = "12"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["train", "--config", str(cfg), "--dataset", str(manifest),
+                 "--out", str(tmp_path / "run"), "--meta.max_steps", "0"])
+    assert code == 2
+    assert "'meta.max_steps' expects an integer" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_flag_into_a_section_the_file_sets_to_a_value(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"meta": 5}))
+    code = main(["train", "--config", str(cfg), "--meta.inner_lr", "0.1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "config section 'meta' must be an object, got 5" in capsys.readouterr().err
+
+
+def test_an_override_may_mend_an_invalid_file_value(tmp_path):
+    # every value is validated once, after the flags
+    manifest = write_tiny_dataset(tmp_path, seed=36)
+    cfg = write_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    data["meta"]["patience"] = 0
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--dataset", str(manifest), "--out", str(out),
+                 "--meta.max_steps", "0", "--meta.patience", "3"]) == 0
+    assert json.loads((out / "config.json").read_text())["meta"]["patience"] == 3
+
+
 def experiment_argv(manifest, cfg, out, methods, seeds="0,1"):
     return ["experiment", "--config", str(cfg), "--dataset", str(manifest),
             "--out", str(out), "--methods", methods, "--seeds", seeds]
@@ -451,6 +513,19 @@ def test_experiment_cells_are_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "e1" / "report.json").read_bytes() == (
         tmp_path / "e2" / "report.json"
     ).read_bytes()
+
+
+def test_experiment_without_a_meta_test_task_is_a_data_error(tmp_path, capsys):
+    rows = [f"{i % 2},{i % 3}.5,{i % 5}.25" for i in range(40)]
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(csv_text(rows))
+    data_dir = tmp_path / "data"
+    assert main(["convert", "--csv", str(csv_path), "--id", "only", "--role", "meta_train",
+                 "--out", str(data_dir)]) == 0
+    capsys.readouterr()
+    assert main(experiment_argv(data_dir / "manifest.json", write_config(tmp_path),
+                                tmp_path / "exp", "maml", seeds="0")) == 3
+    assert "evaluation requires at least one meta_test task" in capsys.readouterr().err
 
 
 def test_report_rerenders_from_cells(tmp_path, capsys):
@@ -749,6 +824,17 @@ def test_convert_with_non_finite_feature_is_a_data_error(tmp_path, capsys):
         assert code == 3
         assert f"{csv}:3:" in capsys.readouterr().err
         assert not (tmp_path / "ds" / "manifest.json").exists()
+
+
+def test_convert_with_a_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    # found by the mutated CSVs: reading it raised UnicodeDecodeError
+    csv = tmp_path / "task.csv"
+    csv.write_bytes(csv_text(["0,1.0,2.0", "1,3.0,4.0"]).encode().replace(b"4.0", b"4.\xb3"))
+    code = main(["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
+                 "--out", str(tmp_path / "ds")])
+    assert code == 3
+    assert f"{csv}:3: non-numeric value" in capsys.readouterr().err
+    assert not (tmp_path / "ds" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -1133,6 +1219,199 @@ def test_mutated_manifests_and_task_files_exit_0_or_3(tmp_path, capsys):
         codes.add(code)
     capsys.readouterr()
     assert codes == {0, 3}
+
+
+# What a mutated config value becomes: the cell values, plus words that some
+# keys accept, an empty list and two sizes. A size is tiny or past the address
+# space, which numpy refuses before it touches any memory (as in
+# test_size_beyond_memory_is_a_config_error); never one like 2**32, which
+# numpy may try to allocate.
+CONFIG_VALUES = MUTANT_VALUES + [2, 10**13, "none", "maml", "exact", "taskmix", []]
+
+# What a mutated flag value becomes: the command line's words for none, lists,
+# non-finite and malformed numbers, and the same sizes.
+FLAG_VALUES = ["", "none", "null", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "1", ".5",
+               "1.5", "2", "10000000000000", "1,,2", ",", "maml", "exact", "taskmix"]
+
+# The step budgets end every command line, so argparse keeps them; a mutated
+# budget is never a count of steps to run.
+BUDGET_VALUES = ["0", "-1", "", "none", "x", "1.5", "nan"]
+
+
+def mutate_config(rng: random.Random, text: str) -> bytes:
+    """A config's text with one seeded mutation: the document, a section, a
+    leaf or a list entry replaced, a key removed or added, the bytes
+    truncated, or one bit flipped."""
+    kind = rng.choice(["document", "replace", "remove", "add", "entry", "truncate", "flip"])
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[:rng.randrange(len(raw))]
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    if kind == "document":
+        return json.dumps(rng.choice(CONFIG_VALUES)).encode()
+    cfg = json.loads(text)
+    if kind == "entry":
+        entries = rng.choice([cfg["seeds"], cfg["model"]["hidden"]])
+        entries[rng.randrange(len(entries))] = rng.choice(CONFIG_VALUES)
+        return json.dumps(cfg).encode()
+    fields = rng.choice([cfg, *(v for v in cfg.values() if isinstance(v, dict))])
+    if kind == "add":
+        fields["extra"] = rng.choice(CONFIG_VALUES)
+    elif kind == "remove":
+        del fields[rng.choice(sorted(fields))]
+    else:
+        fields[rng.choice(sorted(fields))] = rng.choice(CONFIG_VALUES)
+    return json.dumps(cfg).encode()
+
+
+def test_mutated_configs_and_flags_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
+    # a mutated out or dataset may be a relative path
+    monkeypatch.chdir(tmp_path)
+    manifest = write_tiny_dataset(tmp_path, seed=47)
+    cfg = tmp_path / "config.json"
+    original = json.dumps({**to_dict(tiny_config()), "dataset": str(manifest)})
+    keys = list(leaf_types())
+    rng = random.Random(21)
+    codes = set()
+    for case in range(1200):
+        cfg.write_text(original)
+        kind = rng.choice(["file", "flag", "budget"])
+        flags = []
+        if kind == "file":
+            cfg.write_bytes(mutate_config(rng, original))
+        elif kind == "flag":
+            flags = [f"--{rng.choice(keys)}={rng.choice(FLAG_VALUES)}"]
+        budgets = [rng.choice(BUDGET_VALUES) if kind == "budget" else "0" for _ in range(2)]
+        code = main(["experiment", "--config", str(cfg), "--methods", "maml",
+                     "--out", f"run{case}", *flags,
+                     f"--meta.max_steps={budgets[0]}", f"--finetune.max_steps={budgets[1]}"])
+        assert code in (0, 2, 3, 4)
+        codes.add(code)
+    assert codes == {0, 2, 3}
+    errors = capsys.readouterr().err
+    for check in ["method must", "meta.inner_steps must", "meta.batch_size must",
+                  "meta.augmentation must", "meta.max_steps must", "meta.eval_every must",
+                  "finetune.max_steps must", "finetune.eval_every must", "expects a list",
+                  "expects a number", "expects an integer", "expects a string",
+                  "must be an object", "config must be a JSON object"]:
+        assert check in errors
+
+
+# What a mutated CSV field becomes: empty, malformed, non-finite and
+# out-of-range numbers, labels past the rows or a u32, and header words.
+CSV_VALUES = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "1", "2", "7", " 1", "1.5",
+              str(2**32 - 2), str(2**32), "label", "f0"]
+
+
+def mutate_csv(rng: random.Random, text: str) -> bytes:
+    """A CSV's text with one seeded mutation: a field (header or body)
+    replaced, a field added or removed, a row removed or duplicated, a column
+    removed, the bytes truncated, or one bit flipped."""
+    kind = rng.choice(["replace", "add", "remove", "drop_row", "duplicate_row", "drop_column",
+                       "truncate", "flip"])
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[:rng.randrange(len(raw))]
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    rows = [line.split(",") for line in text.splitlines()]
+    row = rng.randrange(len(rows))
+    if kind == "drop_row":
+        del rows[row]
+    elif kind == "drop_column":  # the rest is a well-formed CSV one feature narrower
+        column = rng.randrange(len(rows[0]))
+        rows = [fields[:column] + fields[column + 1:] for fields in rows]
+    elif kind == "duplicate_row":
+        rows.insert(row, rows[rng.randrange(len(rows))])
+    elif kind == "add":
+        rows[row].insert(rng.randrange(len(rows[row]) + 1), rng.choice(CSV_VALUES))
+    elif kind == "remove":
+        del rows[row][rng.randrange(len(rows[row]))]
+    else:
+        rows[row][rng.randrange(len(rows[row]))] = rng.choice(CSV_VALUES)
+    return "".join(",".join(fields) + "\n" for fields in rows).encode()
+
+
+def test_mutated_csvs_exit_0_or_3(tmp_path, capsys):
+    # convert adds the CSV's task to a corpus, which an experiment with step
+    # budgets of 0 then loads, fine-tunes and scores; every size comes from
+    # the CSV's rows, and a label past them fails the load's class count
+    manifest = write_tiny_dataset(tmp_path, seed=50)
+    corpus = {path: path.read_bytes() for path in manifest.parent.iterdir()}
+    features, labels, _ = read_task_file(manifest.parent / "train_00.tmxf")
+    rows = [["label", *(f"f{i}" for i in range(features.shape[1]))]]
+    rows += [[str(label), *map(repr, row.tolist())] for label, row in zip(labels, features)]
+    original = "".join(",".join(fields) + "\n" for fields in rows)
+    csv_path = tmp_path / "t.csv"
+    argv = ["experiment", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+            "--methods", "maml", "--seeds", "0", "--meta.max_steps", "0",
+            "--finetune.max_steps", "0"]
+    rng = random.Random(22)
+    codes = set()
+    for case in range(600):
+        for path in set(manifest.parent.iterdir()) - set(corpus):
+            path.unlink()
+        for path, raw in corpus.items():
+            path.write_bytes(raw)
+        csv_path.write_bytes(mutate_csv(rng, original))
+        code = main(["convert", "--csv", str(csv_path), "--id", rng.choice(["added", "test_00"]),
+                     "--role", rng.choice(["meta_train", "meta_test"]),
+                     "--out", str(manifest.parent)])
+        assert code in (0, 3)
+        if code == 0:
+            code = main(argv + ["--out", str(tmp_path / f"run{case}")])
+            assert code in (0, 2, 3, 4)
+        codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 3}
+
+
+# Defects the mutated configs found. Each exited 1 with a traceback.
+
+
+@pytest.mark.parametrize("seed", [str(10**300), str(2**63)], ids=["10**300", "2**63"])
+def test_seed_past_64_bits_is_a_config_error(tmp_path, capsys, seed):
+    # 10**300 made a cell file name too long to write (OSError); 2**63 runs
+    # the streams of seed -2**63, since rng.substream keeps 64 bits
+    manifest = write_tiny_dataset(tmp_path, seed=48)
+    argv = experiment_argv(manifest, write_config(tmp_path), tmp_path / "exp", "vanilla",
+                           seeds=seed)
+    assert main(argv) == 2
+    assert "seeds entries must be 64-bit integers" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_integer_past_float_range_is_a_config_error(tmp_path, capsys):
+    # float() raised OverflowError
+    data = to_dict(tiny_config())
+    data["meta"]["inner_lr"] = 10**400
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "'meta.inner_lr' expects a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("vanilla", "model.hidden", str(10**20)),
+    ("mtl", "model.hidden", "10000000000,10000000000"),
+    ("mtl", "meta.batch_size", str(10**20)),
+    ("maml", "meta.batch_size", str(2**62)),
+    ("maml+taskmix", "meta.inner_steps", str(10**20)),
+])
+def test_size_past_numpy_index_range_is_a_config_error(tmp_path, capsys, method, key, value):
+    # numpy raised ValueError, not MemoryError, for an array of more bytes
+    # than it can index; it refuses it before touching any memory
+    manifest = write_tiny_dataset(tmp_path, seed=49)
+    argv = experiment_argv(manifest, write_config(tmp_path), tmp_path / "exp", method,
+                           seeds="0")
+    assert main(argv + [f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "does not fit in memory" in err
 
 
 def package_env() -> dict:

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from taskmix.data import largest_remainders
 from taskmix.errors import ConfigError
 from taskmix.metrics import split_loss
-from taskmix.synth import SynthSpec, _rotation, _zipf_counts, generate, preset
+from taskmix.synth import SynthSpec, _rotation, _zipf_counts, preset
 from taskmix.training import initial_params, meta_train
 
-from util import tiny_config, tiny_dataset
+from util import generate, tiny_config, tiny_dataset
 
 
 def test_preset_long_shape():
@@ -95,6 +96,15 @@ def test_zipf_counts_sum_and_floor():
     skewed = _zipf_counts(200, 5, 2.0)
     assert skewed.sum() == 200
     assert skewed.min() >= 3
+
+
+def test_zipf_counts_raise_rare_classes_to_three():
+    # at exponent 2, 200 examples over 20 classes leave the rarest ranks none
+    p = np.arange(1, 21, dtype=np.float64) ** -2.0
+    assert largest_remainders(p / p.sum(), 200).min() == 0
+    counts = _zipf_counts(200, 20, 2.0)
+    assert counts.min() >= 3
+    assert counts.sum() == 200
 
 
 def test_zipf_exponent_zero_is_uniform():

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from taskmix.config import RunConfig, from_dict
-from taskmix.data import Batch, one_hot, write_dataset
+from taskmix.data import Batch, assemble_dataset, one_hot, write_dataset
 from taskmix.nn import init_params
-from taskmix.synth import SynthSpec, generate, task_records
+from taskmix.synth import SynthSpec, task_records
 
 
 def oracle_macro_f1(y_true, y_pred, n_classes):
@@ -59,6 +59,11 @@ def random_batch(seed: int, b: int, d: int, c: int, dtype=np.float64) -> Batch:
 def stacked(*batches) -> Batch:
     """Batches as one stack with a leading unit axis, as the group path takes them."""
     return Batch(*(np.stack(arrays) for arrays in zip(*((b.x, b.y, b.w) for b in batches))))
+
+
+def generate(spec: SynthSpec):
+    """The spec's full dataset (tasks, splits, class weights) in memory."""
+    return assemble_dataset(task_records(spec), spec.dim, f"synth seed {spec.seed}")
 
 
 def tiny_spec(seed: int = 7, **overrides) -> SynthSpec:

@@ -2,11 +2,11 @@
 
     python3 tools/fingerprint.py
 
-Trains on two tiny synthetic corpora (an easy and a noisy one, from
-`synth.generate`) and prints one sha256 per case, then a total over all
-cases. A training case hashes the exact bytes of what a stage returns: the
-trained parameter vector, the history records, stopped_at, best_step and
-best_value. Cases:
+Trains on two tiny synthetic corpora (an easy and a noisy one: the tasks of
+`synth.task_records`, built into a dataset by `data.assemble_dataset`) and
+prints one sha256 per case, then a total over all cases. A training case
+hashes the exact bytes of what a stage returns: the trained parameter vector,
+the history records, stopped_at, best_step and best_value. Cases:
 
   * the corpus: the name and bytes of every file `data.write_dataset` writes
     for the corpus's spec (into a temporary directory, removed after);
@@ -41,9 +41,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taskmix.config import AUGMENTATIONS, METHODS, from_dict  # noqa: E402
 from taskmix import evaluation  # noqa: E402
-from taskmix.data import write_dataset  # noqa: E402
+from taskmix.data import assemble_dataset, write_dataset  # noqa: E402
 from taskmix.nn import GRAD_MODES  # noqa: E402
-from taskmix.synth import SynthSpec, generate, task_records  # noqa: E402
+from taskmix.synth import SynthSpec, task_records  # noqa: E402
 from taskmix.training import finetune, initial_params, meta_train, mtl_train  # noqa: E402
 
 CORPORA = {
@@ -115,7 +115,7 @@ def cases():
     for name, kwargs in CORPORA.items():
         spec = corpus_spec(**kwargs)
         yield f"{name} corpus", corpus_digest(spec)
-        ds = generate(spec)
+        ds = assemble_dataset(task_records(spec), spec.dim, f"synth seed {spec.seed}")
         for hidden in ((), (8,), (8, 6, 5)):
             for patience in (3, 1):
                 for grad_mode in GRAD_MODES:
