@@ -31,6 +31,7 @@ from .config import (
 )
 from .data import (
     ROLES,
+    build_task,
     load_dataset,
     manifest_dim,
     read_csv_features,
@@ -129,7 +130,12 @@ def cmd_synth(args) -> int:
     spec = preset(args.preset, args.scale)
     spec.seed = args.seed
     records = task_records(spec)  # checks the spec before --out is made
-    print(write_dataset(records, spec.dim, _output_dir(args.out)))
+    out = _output_dir(args.out)
+    try:
+        manifest_path = write_dataset(records, spec.dim, out)
+    except OSError as exc:  # a directory where a file goes, say
+        raise ConfigError(f"{exc.filename or out}: cannot write ({exc.strerror})") from exc
+    print(manifest_path)
     return 0
 
 
@@ -149,6 +155,9 @@ def cmd_convert(args) -> int:
                             f"manifest dimension {dim}")
     if any(t["id"] == args.task_id for t in manifest["tasks"]):
         raise DataError(f"task id {args.task_id!r} already present in {manifest_path}")
+    # the checks loading makes of the task, before any file is written
+    build_task({"id": args.task_id, "role": args.role, "n_classes": n_classes,
+                "features": features, "labels": labels}, n_classes, args.csv)
     filename = f"{args.task_id}.tmxf"
     write_task_file(out / filename, features, labels, n_classes)
     manifest["tasks"].append({"id": args.task_id, "role": args.role, "file": filename})
@@ -166,6 +175,8 @@ def _write_run(out: Path, cfg: RunConfig, history: list[dict]) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.method == "vanilla":  # checked before the corpus is read or --out made
+        raise ConfigError(f"method {cfg.method!r} has no training phase")
     dataset = load_dataset(_require(cfg, "dataset"))
     out = _output_dir(_require(cfg, "out"))
     seed = cfg.seeds[0]

@@ -199,7 +199,7 @@ def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.nda
     Per-class allocation uses largest remainders, with ties going to the
     train split. A class needs 3 examples, but that does not fill every
     split: classes of 3, 4 and 5 examples split 2/0/1, 3/0/1 and 4/0/1. A
-    task whose split comes out empty is rejected by load_dataset.
+    task whose split comes out empty is rejected by build_task.
     """
     buckets: list[list[np.ndarray]] = [[], [], []]
     # np.bincount, not np.unique, which imports numpy.ma (about 1 MB of RSS) to check for a mask
@@ -219,21 +219,21 @@ def auto_split(labels: np.ndarray, rng: np.random.Generator) -> dict[str, np.nda
     }
 
 
-def _given_splits(given, n: int, where: str) -> dict[str, np.ndarray]:
+def _given_splits(given, n: int) -> dict[str, np.ndarray]:
     """A manifest's explicit splits: three lists of integer indices in [0, n)
     that are disjoint and cover all n examples."""
     missing = [name for name in SPLIT_NAMES if not isinstance(given, dict) or name not in given]
     if missing:
-        raise DataError(f"{where}: splits lack {', '.join(map(repr, missing))}")
+        raise DataError(f"splits lack {', '.join(map(repr, missing))}")
     for name in SPLIT_NAMES:
         idx = given[name]
         if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < n for i in idx):
-            raise DataError(f"{where}: split {name!r} must list integer indices in [0, {n})")
+            raise DataError(f"split {name!r} must list integer indices in [0, {n})")
     splits = {name: np.asarray(given[name], dtype=np.int64) for name in SPLIT_NAMES}
     seen = np.concatenate(list(splits.values()))
     # np.bincount, not np.unique, which imports numpy.ma (about 1 MB of RSS) to check for a mask
     if len(seen) != n or not np.bincount(seen, minlength=n).all():
-        raise DataError(f"{where}: splits must be disjoint and cover all {n} examples")
+        raise DataError(f"splits must be disjoint and cover all {n} examples")
     return splits
 
 
@@ -305,43 +305,49 @@ def load_dataset(manifest_path) -> Dataset:
 def assemble_dataset(records: Iterable[dict], dim: int, source) -> Dataset:
     """The Dataset of task records, each a manifest entry ("id", "role", and
     "splits" unless auto_split is to make them) with its task file's
-    "n_classes", "features" and "labels". Errors name source and the task.
-
-    Splits given as lists of indices are checked; missing ones come from
-    auto_split, keyed by SPLIT_SEED and the task id. Class weights come from
-    the train split, zero-padded to the largest class count.
-    """
+    "n_classes", "features" and "labels", each made by build_task with class
+    weights zero-padded to the largest class count."""
     records = list(records)
     c_max = max(record["n_classes"] for record in records)
-    tasks = []
-    for record in records:
-        where = f"{source}: task {record['id']!r}"
-        labels, n_classes = record["labels"], record["n_classes"]
+    tasks = [build_task(record, c_max, source) for record in records]
+    if not any(t.role == ROLE_META_TRAIN for t in tasks):
+        raise DataError("dataset has no meta-training tasks")
+    return Dataset(tasks=tasks, dim=int(dim), c_max=int(c_max))
+
+
+def build_task(record: dict, c_max: int, source) -> Task:
+    """The Task of one task record (see assemble_dataset), checked as loading
+    checks it; errors name source and the task.
+
+    Splits given as lists of indices are checked; missing ones come from
+    auto_split, keyed by SPLIT_SEED and the task id. A split the task's role
+    needs must not be empty. Class weights come from the train split,
+    zero-padded to c_max.
+    """
+    where = f"{source}: task {record['id']!r}"
+    labels, n_classes = record["labels"], record["n_classes"]
+    try:
         if "splits" in record:
-            splits = _given_splits(record["splits"], len(labels), where)
+            splits = _given_splits(record["splits"], len(labels))
         else:
             splits = auto_split(labels, substream(SPLIT_SEED, PURPOSE_SPLIT, record["id"]))
         # meta-training evaluates on validation; meta-test also scores on test
         needed = SPLIT_NAMES if record["role"] == ROLE_META_TEST else SPLIT_NAMES[:2]
         empty = [name for name in needed if len(splits[name]) == 0]
         if empty:
-            raise DataError(f"{where}: {record['role']} task has an empty {empty[0]} split")
+            raise DataError(f"{record['role']} task has an empty {empty[0]} split")
         weights = compute_class_weights(labels[splits["train"]], n_classes, c_max)
-        tasks.append(
-            Task(
-                id=record["id"],
-                role=record["role"],
-                n_classes=n_classes,
-                features=record["features"],
-                labels=labels,
-                splits=splits,
-                class_weights=weights,
-            )
-        )
-
-    if not any(t.role == ROLE_META_TRAIN for t in tasks):
-        raise DataError("dataset has no meta-training tasks")
-    return Dataset(tasks=tasks, dim=int(dim), c_max=int(c_max))
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    return Task(
+        id=record["id"],
+        role=record["role"],
+        n_classes=n_classes,
+        features=record["features"],
+        labels=labels,
+        splits=splits,
+        class_weights=weights,
+    )
 
 
 def write_dataset(records: Iterable[dict], dim: int, out_dir) -> Path:

@@ -3,13 +3,13 @@
 Every engine error is a TaskMixError, and each is one the user can cause:
 the CLI maps ConfigError to exit code 2, DataError to 3 and
 TrainingDivergedError to 4. Input is checked once, where it enters, by one
-checker per kind: `config.RunConfig.validate` for a run config and
-`data.read_manifest` for a manifest (which `data.load_dataset` and the CLI's
-`convert` both call), beside the task-file and CSV readers. Below that
-boundary the code raises only for what valid input can still bring about
-(divergence, a dataset without meta_test tasks to score, a method without a
-training phase); it checks no contract of its own, so an internal bug
-surfaces as a Python traceback, not as a user-facing exit code.
+checker per kind: `config.RunConfig.validate` for a run config,
+`data.read_manifest` for a manifest and `data.build_task` for a task's
+splits and classes (`data.load_dataset` and the CLI's `convert` call both),
+beside the task-file and CSV readers. Below that boundary the code raises
+only for what valid input can still bring about (divergence, a dataset
+without meta_test tasks to score); it checks no contract of its own, so an
+internal bug surfaces as a Python traceback, not as a user-facing exit code.
 """
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import METHOD_AUGMENTATION, METHODS, RunConfig
 from .data import Dataset
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .metrics import evaluate_model
 from .training import TrainedModel, finetune, initial_params, meta_train, mtl_train
 
@@ -26,8 +26,6 @@ def train_phase(dataset: Dataset, method: str, cfg: RunConfig, seed: int) -> Tra
     method's augmentation."""
     if method == "mtl":
         return mtl_train(dataset, cfg, seed)
-    if method not in METHOD_AUGMENTATION:
-        raise ConfigError(f"method {method!r} has no training phase")
     meta_cfg = replace(cfg, meta=replace(cfg.meta, augmentation=METHOD_AUGMENTATION[method]))
     return meta_train(dataset, meta_cfg, seed)
 

@@ -9,8 +9,8 @@ Two uses share the same primitive mix(a, b, lam) = lam*a + (1-lam)*b:
     widening the task distribution the learner adapts to. It gathers each
     source task's batches from their row indices when it mixes them.
 
-Both return stacks of task units (a Batch with a leading unit axis, as
-`nn` takes them) and write each unit's mix into one new stack.
+metamix_augment returns a stack of task units (a Batch with a leading unit
+axis, as `nn` takes them); taskmix_synthesize fills one unit of such a stack.
 
 Mixing coefficients are Beta(eta, eta) draws. Sampling goes through
 Marsaglia-Tsang gamma generation so coefficient streams are fully owned by
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .config import MixConfig
-from .data import Batch, Task, empty_batch, gather_batch
+from .data import Batch, Task, gather_batch
 
 
 def sample_gamma(shape_param: float, rng: np.random.Generator) -> tuple[float, float]:
@@ -115,28 +115,23 @@ def metamix_augment(batch: Batch, cfg: MixConfig, rngs) -> Batch:
     return Batch(x=x, y=y, w=batch.w)
 
 
-def taskmix_synthesize(tasks: list[Task], rows: np.ndarray, count: int, cfg: MixConfig,
-                       rng: np.random.Generator) -> Batch:
-    """Blend random pairs of this step's real tasks into `count` new tasks.
+def taskmix_synthesize(tasks: list[Task], rows: np.ndarray, cfg: MixConfig,
+                       rng: np.random.Generator, out: Batch) -> Batch:
+    """Blend a random pair of this step's real tasks into one new task, in out.
 
     rows [T, S + 1, B] holds the row indices of every real task's batches of
-    the current outer step: its S support batches, then its query batch. The
-    synthetic tasks come back in one new stack of `count` units: x
-    [count, S + 1, B, D], y [count, S + 1, B, C] and w [count, C]. Every
-    synthetic task draws an independent source pair i, j (a task may pair
-    with itself), then a single coefficient lam; it gathers the two tasks'
-    batches (data.gather_batch) and mixes every batch of task i with the
-    same batch of task j. All draws come from the one stream passed in,
-    which nothing else consumes, so calls for consecutive counts continue
-    one sequence; a count of zero draws nothing and changes nothing.
+    the current outer step: its S support batches, then its query batch. out
+    is one unit's slot (x [S + 1, B, D], y [S + 1, B, C], w [C]). The call
+    draws a source pair i, j (a task may pair with itself), then a single
+    coefficient lam; it gathers the two tasks' batches (data.gather_batch)
+    and mixes every batch of task i with the same batch of task j. All draws
+    come from the one stream passed in, which nothing else consumes, so
+    consecutive calls continue one sequence.
     """
-    out = empty_batch(tasks[0], rows.shape[1:], (count,))
-    for k in range(count):
-        i = int(rng.integers(0, len(tasks)))
-        j = int(rng.integers(0, len(tasks)))
-        lam = sample_beta(cfg.eta, rng)
-        # task i is gathered into its slot and mixed there: mix_arrays reads
-        # each element before it writes it
-        unit = gather_batch(tasks[i], rows[i], out=out.units(k))
-        mix_batches(unit, gather_batch(tasks[j], rows[j]), lam, out=unit)
-    return out
+    i = int(rng.integers(0, len(tasks)))
+    j = int(rng.integers(0, len(tasks)))
+    lam = sample_beta(cfg.eta, rng)
+    # task i is gathered into the slot and mixed there: mix_arrays reads each
+    # element before it writes it
+    gather_batch(tasks[i], rows[i], out=out)
+    return mix_batches(out, gather_batch(tasks[j], rows[j]), lam, out=out)

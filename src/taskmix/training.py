@@ -19,9 +19,9 @@ Augmentation hooks plug in here:
     losses, so a coefficient of 1 reproduces the unaugmented trajectory
     bit for bit. The pullback is linear, so under exact the averaged query
     gradient is pulled back once per unit;
-  * taskmix: the drawn batches of random task pairs are blended into
-    synthetic tasks appended to the step's task set, each adapted and
-    differentiated exactly like a real task.
+  * taskmix: synthetic units follow the real ones; each is blended from a
+    random task pair's drawn batches straight into its slot of a group, which
+    may also hold real units, then adapted and differentiated like a real one.
 
 Per-task meta-gradients are summed into one meta-gradient per outer step.
 Every random draw comes from a substream keyed by (purpose, consumer), so
@@ -229,35 +229,33 @@ def meta_step(theta: ModelParams, tasks: list[Task], cfg: RunConfig, bundle: Str
     synthetic ones: stats is {"mean_task_loss": ...}, the gradient the sum
     of the units' meta-gradients, a vector in theta's layout.
 
-    The real units run first, then the synthetic ones, each in groups of up
-    to group_size units; a group's batches are gathered, and a synthetic
-    group's blended, when it runs. Losses and gradients are summed unit by
+    The units run in unit order, real then synthetic, in consecutive groups
+    of up to group_size units; when a group runs, each slot is gathered, or
+    blended for a synthetic unit. Losses and gradients are summed unit by
     unit in that order, so the group size never moves a result. A group's
     batches, losses and gradients are dropped once summed, before the next
     group gathers its batches, so a step holds one group's arrays at a time.
     """
     aug = cfg.meta.augmentation
     use_metamix = aug in (AUG_METAMIX, AUG_BOTH)
-    use_taskmix = aug in (AUG_TASKMIX, AUG_BOTH)
     size = group_size(theta.layout, cfg.meta.batch_size)
 
     rows = _episodes(tasks, cfg, bundle)
     keys = [task.id for task in tasks]
-    spans = [(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
-    if use_taskmix:
+    if aug in (AUG_TASKMIX, AUG_BOTH):
         taskmix_rng = bundle.beta("taskmix")
         keys += [f"synthetic/{k}" for k in range(cfg.mix.synthetic_count(len(tasks)))]
-        spans += [(a, min(a + size, len(keys))) for a in range(len(tasks), len(keys), size)]
 
     total_loss = 0.0
     total_grads = None
-    for a, b in spans:
-        if a < len(tasks):
-            episodes = empty_batch(tasks[a], rows.shape[1:], (b - a,))
-            for g, t in enumerate(range(a, b)):
-                gather_batch(tasks[t], rows[t], out=episodes.units(g))
-        else:
-            episodes = taskmix_synthesize(tasks, rows, b - a, cfg.mix, taskmix_rng)
+    for a in range(0, len(keys), size):
+        b = min(a + size, len(keys))
+        episodes = empty_batch(tasks[0], rows.shape[1:], (b - a,))
+        for g, u in enumerate(range(a, b)):
+            if u < len(tasks):
+                gather_batch(tasks[u], rows[u], out=episodes.units(g))
+            else:
+                taskmix_synthesize(tasks, rows, cfg.mix, taskmix_rng, episodes.units(g))
         batches = [Batch(episodes.x[:, s], episodes.y[:, s], episodes.w)
                    for s in range(cfg.meta.inner_steps + 1)]
         metamix_rngs = [bundle.beta(f"metamix/{key}") for key in keys[a:b]] if use_metamix else None

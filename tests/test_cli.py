@@ -113,10 +113,32 @@ def csv_text(rows):
     return "\n".join(["label,f0,f1"] + rows) + "\n"
 
 
+def loadable_rows(width=2):
+    """CSV body rows of a task that loads in either role: two classes of six
+    rows, which split 4/1/1 each."""
+    return [",".join([str(i % 2), *(f"{i + f}.5" for f in range(width))]) for i in range(12)]
+
+
+@pytest.mark.parametrize("role", ["meta_train", "meta_test"])
+@pytest.mark.parametrize("labels, message", [
+    ([0, 7] * 20, "class 1 has no examples"),
+    ([0] * 20 + [1] * 2, "class 1 has 2 examples, fewer than the 3 splits"),
+], ids=["class-skipped", "class-of-two"])
+def test_convert_rejects_a_task_that_loading_rejects(tmp_path, capsys, role, labels, message):
+    # such a task would enter a corpus that no load then reads
+    csv = tmp_path / "task.csv"
+    csv.write_text(csv_text([f"{label},{i}.0,{i}.5" for i, label in enumerate(labels)]))
+    out = tmp_path / "ds"
+    assert main(["convert", "--csv", str(csv), "--id", "t0", "--role", role,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{csv}: task 't0': " in err and message in err
+    assert not [p for p in out.rglob("*") if p.is_file()]  # nothing written
+
+
 def test_convert_roundtrip(tmp_path, capsys):
     csv = tmp_path / "task.csv"
-    csv.write_text(csv_text(["0,1.0,2.0", "1,3.0,4.0", "0,5.0,6.0",
-                             "1,0.5,0.25", "0,2.5,1.5", "1,9.0,8.0"]))
+    csv.write_text(csv_text(loadable_rows()))
     out = tmp_path / "ds"
     code = main(["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
                  "--out", str(out)])
@@ -240,6 +262,7 @@ def test_train_vanilla_has_no_training_phase(tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--method", "vanilla"])
     assert code == 2
     assert "vanilla" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_requires_dataset(tmp_path, capsys):
@@ -922,16 +945,17 @@ def test_train_with_empty_split_is_a_data_error(tmp_path, capsys, role, split):
 
 
 def test_converted_tasks_too_small_to_split_are_a_data_error(tmp_path, capsys):
-    # No manifest splits: load_dataset splits 70/10/20 per class, and a class of
-    # 4 rows goes 3/0/1, leaving the validation split empty.
+    # No manifest splits: loading splits 70/10/20 per class, and a class of 4
+    # rows goes 3/0/1, leaving the validation split empty. convert makes the
+    # same check, so the task never enters the corpus.
     csv = tmp_path / "task.csv"
     csv.write_text(csv_text([f"{i % 2},{i}.0,{i}.5" for i in range(8)]))
     out = tmp_path / "ds"
     for task_id, role in (("a", "meta_train"), ("b", "meta_test")):
         assert main(["convert", "--csv", str(csv), "--id", task_id, "--role", role,
-                     "--out", str(out)]) == 0
-    assert train_exit_code(tmp_path, out / "manifest.json") == 3
-    assert "empty validation split" in capsys.readouterr().err
+                     "--out", str(out)]) == 3
+        assert "empty validation split" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 # A path of the wrong kind on the file system: one `error:` line naming it.
@@ -1002,6 +1026,14 @@ def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
     assert out.read_text() == "kept\n"
 
 
+def test_synth_onto_a_directory_named_manifest_is_a_config_error(tmp_path, capsys):
+    # write_dataset removes an old manifest first, which fails on a directory
+    out = tmp_path / "ds"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(out_argv("synth", tmp_path, out)) == 2
+    assert_one_error_line(capsys, out / "manifest.json")
+
+
 def test_convert_with_a_directory_as_manifest_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "ds"
     (out / "manifest.json").mkdir(parents=True)
@@ -1042,7 +1074,7 @@ def test_convert_onto_manifest_without_dim_takes_its_tasks_width(tmp_path, capsy
 
     def convert(task_id: str, header: str) -> int:
         csv = tmp_path / f"{task_id}.csv"
-        csv.write_text(f"{header}\n0,1,2,3\n1,4,5,6\n")
+        csv.write_text("\n".join([header, *loadable_rows(3)]) + "\n")
         return main(["convert", "--csv", str(csv), "--id", task_id, "--role", "meta_train",
                      "--out", str(out)])
 

@@ -258,6 +258,21 @@ def test_load_dataset_error_cases(tmp_path):
         load_dataset(test_only)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0, 2] * 15, "class 1 has no examples"),
+    ([0] * 28 + [1] * 2, "class 1 has 2 examples, fewer than the 3 splits"),
+], ids=["class-skipped", "class-of-two"])
+def test_a_task_load_error_names_the_manifest_and_the_task(tmp_path, labels, message):
+    # the class weights' and the automatic split's errors come with the task's place
+    write_task_file(tmp_path / "a.tmxf", np.zeros((30, 4), np.float32), np.array(labels),
+                    max(labels) + 1)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"tasks": [{"id": "a", "role": "meta_train", "file": "a.tmxf"}]}))
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}: task 'a': {message}")
+
+
 def test_meta_train_task_may_leave_its_test_split_empty(tmp_path):
     # meta-training reads only train and validation; meta_test tasks need all three
     manifest_path = write_tiny(tmp_path / "ds", seed=6)

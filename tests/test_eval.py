@@ -8,7 +8,6 @@ import pytest
 
 from taskmix.cli import _write_json
 from taskmix.data import Task, compute_class_weights, full_split_batch
-from taskmix.errors import ConfigError
 from taskmix.evaluation import render_report, run_method, summarize
 from taskmix.metrics import (
     evaluate_model,
@@ -166,12 +165,6 @@ def test_run_method_vanilla_scores_every_test_task():
         sum(rep["per_task"].values()) / len(rep["per_task"])
     )
     assert all(0.0 <= v <= 1.0 for v in rep["per_task"].values())
-
-
-def test_run_method_rejects_unknown():
-    ds = tiny_dataset(seed=26)
-    with pytest.raises(ConfigError):
-        run_method(ds, "protonet", tiny_config(), seed=0)
 
 
 def test_summarize_aggregates_run_method_reports():

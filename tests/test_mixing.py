@@ -5,7 +5,7 @@ import pytest
 
 from taskmix import mixing
 from taskmix.config import MAX_SYNTHETIC, MixConfig, RunConfig
-from taskmix.data import Batch, Task, one_hot
+from taskmix.data import Batch, Task, empty_batch, one_hot
 from taskmix.errors import ConfigError
 from taskmix.mixing import (
     metamix_augment,
@@ -174,8 +174,8 @@ def test_metamix_rows_stay_in_convex_hull():
 
 def episode_stack(n_tasks, n_batches, seed0=100):
     """n_tasks tasks and the row indices [T, n_batches, B] of their batches of
-    one step; also those batches gathered, as one stack (x [T, n_batches, B, D],
-    w [T, C]) and per task. A task's batches share its class weights."""
+    one step; also those batches gathered per task. A task's batches share
+    its class weights."""
     rng = np.random.default_rng(seed0)
     tasks = [Task(id=f"t{t}", role="meta_train", n_classes=4,
                   features=rng.standard_normal((20, 3)), labels=rng.integers(0, 4, size=20),
@@ -185,33 +185,33 @@ def episode_stack(n_tasks, n_batches, seed0=100):
     per_task = [[Batch(task.features[r], one_hot(task.labels[r], 4),
                        task.class_weights.astype(np.float32)) for r in task_rows]
                 for task, task_rows in zip(tasks, rows)]
-    episodes = stacked(*(stacked(*batches) for batches in per_task))
-    return (tasks, rows), Batch(episodes.x, episodes.y, episodes.w[:, 0]), per_task
+    return tasks, rows, per_task
 
 
-def test_taskmix_zero_returns_empty_without_draws():
-    (tasks, rows), episodes, _ = episode_stack(3, 2)
-    rng = np.random.default_rng(6)
-    before = rng.bit_generator.state
-    out = taskmix_synthesize(tasks, rows, 0, MixConfig(), rng)
-    assert out.x.shape == (0, *episodes.x.shape[1:]) and out.w.shape == (0, 4)
-    assert rng.bit_generator.state == before
+def synthesize(tasks, rows, rng):
+    """One synthetic task, blended into a fresh unit slot."""
+    out = empty_batch(tasks[0], rows.shape[1:])
+    return taskmix_synthesize(tasks, rows, MixConfig(), rng, out)
 
 
 def test_taskmix_default_count_equals_task_count():
     assert MixConfig().synthetic_count(4) == 4
     assert MixConfig(n_synthetic=9).synthetic_count(4) == 9
     assert MixConfig(n_synthetic=0).synthetic_count(4) == 0
-    (tasks, rows), episodes, _ = episode_stack(4, 2)
-    out = taskmix_synthesize(tasks, rows, 9, MixConfig(), np.random.default_rng(7))
-    assert out.x.shape == (9, *episodes.x.shape[1:])
+    # a call fills the one unit slot it is handed and returns it
+    tasks, rows, _ = episode_stack(4, 2)
+    out = empty_batch(tasks[0], rows.shape[1:])
+    got = taskmix_synthesize(tasks, rows, MixConfig(), np.random.default_rng(7), out)
+    assert got.x is out.x and got.y is out.y and got.w is out.w
+    assert out.x.shape == (2, 6, 3) and out.y.shape == (2, 6, 4) and out.w.shape == (4,)
 
 
 def test_taskmix_provenance_and_shared_lambda():
-    (tasks, rows), _, per_task = episode_stack(5, 3)
-    out = taskmix_synthesize(tasks, rows, 5, MixConfig(), np.random.default_rng(8))
+    tasks, rows, per_task = episode_stack(5, 3)
+    rng = np.random.default_rng(8)
     twin = np.random.default_rng(8)  # replays each task's draws: i, j, then lam
-    for k in range(5):
+    for _ in range(5):
+        out = synthesize(tasks, rows, rng)
         i, j = int(twin.integers(0, 5)), int(twin.integers(0, 5))
         lam = sample_beta(MixConfig().eta, twin)
         assert 0 <= i < 5 and 0 <= j < 5
@@ -219,19 +219,20 @@ def test_taskmix_provenance_and_shared_lambda():
         # the pair's one coefficient reproduces every mixed batch exactly
         for step, (a, b) in enumerate(zip(per_task[i], per_task[j])):
             rebuilt = mix_batches(a, b, lam)
-            assert np.array_equal(out.x[k, step], rebuilt.x)
-            assert np.array_equal(out.y[k, step], rebuilt.y)
-            assert np.array_equal(out.w[k], rebuilt.w)
+            assert np.array_equal(out.x[step], rebuilt.x)
+            assert np.array_equal(out.y[step], rebuilt.y)
+            assert np.array_equal(out.w, rebuilt.w)
 
 
 def test_taskmix_deterministic_per_stream():
-    (tasks, rows), _, _ = episode_stack(3, 2)
-    a = taskmix_synthesize(tasks, rows, 3, MixConfig(), substream(5, "beta", "taskmix"))
-    b = taskmix_synthesize(tasks, rows, 3, MixConfig(), substream(5, "beta", "taskmix"))
+    tasks, rows, _ = episode_stack(3, 2)
+    a = synthesize(tasks, rows, substream(5, "beta", "taskmix"))
+    b = synthesize(tasks, rows, substream(5, "beta", "taskmix"))
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
-    # consecutive calls continue one sequence of draws
-    rng = substream(5, "beta", "taskmix")
-    first, rest = (taskmix_synthesize(tasks, rows, n, MixConfig(), rng) for n in (2, 1))
-    assert np.array_equal(np.concatenate([first.x, rest.x]), a.x)
-    assert np.array_equal(np.concatenate([first.w, rest.w]), a.w)
-
+    # consecutive calls continue one sequence of draws: each takes its i, j
+    # and lam, and nothing else
+    rng, twin = substream(5, "beta", "taskmix"), substream(5, "beta", "taskmix")
+    for _ in range(3):
+        synthesize(tasks, rows, rng)
+        twin.integers(0, 3), twin.integers(0, 3), sample_beta(MixConfig().eta, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
