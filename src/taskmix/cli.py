@@ -133,7 +133,7 @@ def cmd_synth(args) -> int:
     out = _output_dir(args.out)
     try:
         manifest_path = write_dataset(records, spec.dim, out)
-    except OSError as exc:  # a directory where a file goes, say
+    except (IsADirectoryError, NotADirectoryError) as exc:  # a path of the wrong kind
         raise ConfigError(f"{exc.filename or out}: cannot write ({exc.strerror})") from exc
     print(manifest_path)
     return 0
@@ -143,7 +143,7 @@ def cmd_convert(args) -> int:
     if args.task_id in ("", ".", "..") or Path(args.task_id).name != args.task_id:
         raise ConfigError(f"--id {args.task_id!r} must be a plain file name")
     features, labels, n_classes = read_csv_features(args.csv)
-    out = _output_dir(args.out)
+    out = Path(args.out)
     manifest_path = out / "manifest.json"
     manifest = {"dim": int(features.shape[1]), "tasks": []}
     if manifest_path.exists():  # load_dataset's dim, or with no task the CSV's width
@@ -155,9 +155,10 @@ def cmd_convert(args) -> int:
                             f"manifest dimension {dim}")
     if any(t["id"] == args.task_id for t in manifest["tasks"]):
         raise DataError(f"task id {args.task_id!r} already present in {manifest_path}")
-    # the checks loading makes of the task, before any file is written
+    # the checks loading makes of the task, before --out is made or written
     build_task({"id": args.task_id, "role": args.role, "n_classes": n_classes,
                 "features": features, "labels": labels}, n_classes, args.csv)
+    _output_dir(out)
     filename = f"{args.task_id}.tmxf"
     write_task_file(out / filename, features, labels, n_classes)
     manifest["tasks"].append({"id": args.task_id, "role": args.role, "file": filename})

@@ -327,6 +327,9 @@ def build_task(record: dict, c_max: int, source) -> Task:
     where = f"{source}: task {record['id']!r}"
     labels, n_classes = record["labels"], record["n_classes"]
     try:
+        if n_classes > len(labels):  # before any array is sized by a label
+            raise DataError(f"{n_classes} classes for {len(labels)} examples; "
+                            f"every class needs a train example")
         if "splits" in record:
             splits = _given_splits(record["splits"], len(labels))
         else:

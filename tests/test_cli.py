@@ -133,7 +133,21 @@ def test_convert_rejects_a_task_that_loading_rejects(tmp_path, capsys, role, lab
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"{csv}: task 't0': " in err and message in err
-    assert not [p for p in out.rglob("*") if p.is_file()]  # nothing written
+    assert not out.exists()  # nothing written, --out not made
+
+
+def test_convert_with_more_classes_than_rows_is_rejected_before_sizing_by_label(tmp_path,
+                                                                               capsys):
+    # n_classes is the largest label + 1: auto_split's bincount would take
+    # 34 GB here, so the class count is checked against the rows first
+    csv = tmp_path / "task.csv"
+    csv.write_text(csv_text([f"{label},0.0,0.5" for label in (0, 4294967294, 0, 0)]))
+    out = tmp_path / "ds"
+    assert main(["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{csv}: task 't0': 4294967295 classes for 4 examples" in err
+    assert not out.exists()
 
 
 def test_convert_roundtrip(tmp_path, capsys):
@@ -1007,7 +1021,7 @@ def out_argv(command: str, tmp_path: Path, out: Path) -> list[str]:
         return ["synth", "--preset", "long", "--out", str(out)]
     if command == "convert":
         csv = tmp_path / "task.csv"
-        csv.write_text(csv_text(["0,1.0,2.0", "1,3.0,4.0"]))
+        csv.write_text(csv_text(loadable_rows()))
         return ["convert", "--csv", str(csv), "--id", "t0", "--role", "meta_train",
                 "--out", str(out)]
     manifest, cfg = write_tiny_dataset(tmp_path, seed=45), write_config(tmp_path)
