@@ -167,8 +167,23 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _write_run(out: Path, cfg: RunConfig, history: list[dict]) -> None:
-    """train's history.jsonl, one JSON line per step record, and config.json."""
+def _write_run(out: Path, cfg: RunConfig, history: list[dict], model=None) -> None:
+    """train's files in out: model.json and summary.json of the trained
+    model (none after a divergence), history.jsonl, one JSON line per step
+    record, and config.json. Every one of them an earlier run left there is
+    removed first, so each file in out describes this run even when a write
+    is interrupted."""
+    for name in ("model.json", "summary.json", "history.jsonl", "config.json"):
+        (out / name).unlink(missing_ok=True)
+    if model is not None:
+        _write_json(out / "model.json", _params_to_jsonable(model.params))
+        _write_json(out / "summary.json", {
+            "method": cfg.method,
+            "seed": cfg.seeds[0],
+            "stopped_at": model.stopped_at,
+            "best_step": model.best_step,
+            "best_value": model.best_value,
+        })
     write_text_atomic(out / "history.jsonl",
                       "".join(json.dumps(r, sort_keys=True) + "\n" for r in history))
     _write_json(out / "config.json", to_dict(cfg))
@@ -180,25 +195,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"method {cfg.method!r} has no training phase")
     dataset = load_dataset(_require(cfg, "dataset"))
     out = _output_dir(_require(cfg, "out"))
-    seed = cfg.seeds[0]
     try:
-        model = train_phase(dataset, cfg.method, cfg, seed)
+        model = train_phase(dataset, cfg.method, cfg, cfg.seeds[0])
     except TrainingDivergedError as exc:
-        # every file left in out describes this run, which made no model
-        for name in ("model.json", "summary.json"):
-            (out / name).unlink(missing_ok=True)
         _write_run(out, cfg, exc.history)
         raise
-    summary = {
-        "method": cfg.method,
-        "seed": seed,
-        "stopped_at": model.stopped_at,
-        "best_step": model.best_step,
-        "best_value": model.best_value,
-    }
-    _write_json(out / "model.json", _params_to_jsonable(model.params))
-    _write_json(out / "summary.json", summary)
-    _write_run(out, cfg, model.history)
+    _write_run(out, cfg, model.history, model)
     print(out / "model.json")
     return 0
 

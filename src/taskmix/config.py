@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .nn import GRAD_MODES
+from .rng import in_seed_range
 
 AUG_NONE = "none"
 AUG_METAMIX = "metamix"
@@ -114,8 +115,8 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
-        for seed in self.seeds:  # rng.substream keeps 64 bits; a cell file name holds it
-            if not -(1 << 63) <= seed < 1 << 63:
+        for seed in self.seeds:  # a result cell's file name holds it too
+            if not in_seed_range(seed):
                 raise ConfigError(f"seeds entries must be 64-bit integers, got {seed}")
         for h in self.model.hidden:
             if h < 1:

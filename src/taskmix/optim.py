@@ -1,5 +1,6 @@
 """Update rules and schedules: inner-loop SGD, outer-loop Adam with bias
 correction, cosine-annealed learning rate, and patience-based early stopping.
+Adam keeps no state: its moment vectors are the caller's, written in place.
 """
 
 from __future__ import annotations
@@ -26,28 +27,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray  # first moment, same layout as the parameter vector
-    v: np.ndarray  # second moment
-    t: int = 0
-
-    @classmethod
-    def init(cls, params: np.ndarray):
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
-
-
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
-    """One bias-corrected Adam update of a flat vector; returns (new_state, new_params).
-
-    The moments are updated in place: new_state holds state.m and state.v,
-    mutated, so the state passed in is spent. The float operations and
+def adam_step(m: np.ndarray, v: np.ndarray, t: int, params: np.ndarray, grads: np.ndarray,
+              lr: float) -> np.ndarray:
+    """Step t (counted from 1) of bias-corrected Adam on a flat vector;
+    returns the new parameters. The moments m and v, zeros before step 1,
+    are the caller's and are written in place. The float operations and
     their order are those of the textbook formula
     params - lr * (m / mc) / (sqrt(v / vc) + eps).
     """
-    t = state.t + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * grads
     v *= b2
@@ -60,7 +48,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    return AdamState(m=m, v=v, t=t), params - step
+    return params - step
 
 
 def cosine_lr(step: int, schedule: Schedule) -> float:

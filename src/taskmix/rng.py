@@ -29,6 +29,12 @@ def _stable_hash(*parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def in_seed_range(seed: int) -> bool:
+    """Whether seed is a 64-bit integer, from -2^63 to 2^63 - 1: substream
+    keeps 64 bits of a seed, so one outside would run another seed's streams."""
+    return -(1 << 63) <= seed < 1 << 63
+
+
 def substream(seed: int, purpose: str, *keys: object) -> np.random.Generator:
     """Fresh generator for (seed, purpose, keys), independent of all others."""
     entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, _stable_hash(purpose, *keys))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import ROLE_META_TEST, ROLE_META_TRAIN, auto_split, largest_remainders
 from .errors import ConfigError
-from .rng import PURPOSE_SPLIT, PURPOSE_SYNTH, substream
+from .rng import PURPOSE_SPLIT, PURPOSE_SYNTH, in_seed_range, substream
 
 
 @dataclass
@@ -37,11 +37,14 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        """The one check a `synth --scale` can fail: every split needs rows.
+        """The checks a `synth --seed` or `--scale` can fail: the seed is a
+        64-bit integer, and every split needs rows.
 
-        Specs come from `preset`, whose shapes are fixed, so the scaled
-        example count is the only field an input sets.
+        Specs come from `preset`, whose shapes are fixed, so the seed and the
+        scaled example count are the only fields an input sets.
         """
+        if not in_seed_range(self.seed):
+            raise ConfigError(f"seed must be a 64-bit integer, got {self.seed}")
         if self.examples_per_task < 10 * self.classes_max:
             raise ConfigError(
                 f"examples_per_task {self.examples_per_task} too small for "

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import taskmix
-from taskmix import data
+from taskmix import cli, data
 from taskmix.cli import _resolve_config, build_parser, main
 from taskmix.config import RunConfig, from_dict, leaf_types, to_dict
 from taskmix.data import load_dataset, read_task_file, write_task_file
@@ -716,6 +716,39 @@ def test_train_leaves_only_files_of_its_own_run(tmp_path, capsys):
     assert json.loads((out / "config.json").read_text())["method"] == "mtl"
     assert "at step 1" in capsys.readouterr().err
     assert len(history_lines(out)) == 1
+
+
+@pytest.mark.parametrize("interrupted", range(4), ids=["model", "summary", "history", "config"])
+def test_interrupted_train_leaves_only_files_of_its_own_run(tmp_path, monkeypatch, capsys,
+                                                            interrupted):
+    # the k-th of train's four writes is interrupted; a train that removed no
+    # file first left the earlier maml run's files beside the new mtl run's
+    manifest = write_tiny_dataset(tmp_path, seed=41)
+    out = tmp_path / "reuse"
+    base = ["train", "--config", str(write_config(tmp_path)), "--dataset", str(manifest),
+            "--out", str(out)]
+    assert main(base + ["--method", "maml", "--seeds", "0"]) == 0
+    earlier = read_bytes_map(out)
+    writes = []
+
+    def write_some(path, text):
+        if len(writes) == interrupted:
+            raise KeyboardInterrupt
+        data.write_text_atomic(path, text)
+        writes.append(path)
+
+    monkeypatch.setattr(cli, "write_text_atomic", write_some)
+    with pytest.raises(KeyboardInterrupt):
+        main(base + ["--method", "mtl", "--seeds", "1"])
+    monkeypatch.undo()
+    left = read_bytes_map(out)
+    assert len(left) == interrupted
+    assert main(base + ["--method", "mtl", "--seeds", "1"]) == 0
+    finished = read_bytes_map(out)
+    capsys.readouterr()
+    for name, content in left.items():
+        assert content == finished[name]
+        assert content != earlier[name]
 
 
 def test_augmentation_must_match_every_method_run(tmp_path, capsys):
@@ -1430,6 +1463,17 @@ def test_seed_past_64_bits_is_a_config_error(tmp_path, capsys, seed):
     assert main(argv) == 2
     assert "seeds entries must be 64-bit integers" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**70, 2**64 - 1, -(2**63) - 1],
+                         ids=["2**64", "2**70", "2**64-1", "-2**63-1"])
+def test_synth_seed_past_64_bits_is_a_config_error(tmp_path, capsys, seed):
+    # synth masked the seed to 64 bits: 2**64 and 2**70 wrote seed 0's
+    # corpus and 2**64 - 1 seed -1's
+    out = tmp_path / "d"
+    assert main(["synth", "--preset", "long", "--seed", str(seed), "--out", str(out)]) == 2
+    assert "seed must be a 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integer_past_float_range_is_a_config_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from taskmix.errors import ConfigError
 from taskmix.optim import (
     MAXIMIZE,
     MINIMIZE,
-    AdamState,
     EarlyStopper,
     adam_step,
     cosine_lr,
@@ -49,9 +48,7 @@ def test_adam_first_step_size_is_lr():
     rng = np.random.default_rng(1)
     p = rng.standard_normal(6)
     g = rng.uniform(0.5, 4.0, 6) * np.sign(rng.standard_normal(6))
-    state = AdamState.init(p)
-    state, out = adam_step(state, p, g, lr=0.01)
-    assert state.t == 1
+    out = adam_step(np.zeros(6), np.zeros(6), 1, p, g, lr=0.01)
     delta = np.abs(out - p)
     assert np.allclose(delta, 0.01, rtol=1e-6)
 
@@ -59,19 +56,17 @@ def test_adam_first_step_size_is_lr():
 def test_adam_constant_gradient_steps_are_lr_sized():
     p = np.array([0.0, 0.0])
     g = np.array([3.0, -0.5])
-    state = AdamState.init(p)
+    m, v = np.zeros(2), np.zeros(2)
     cur = p
     for t in (1, 2, 3):
-        state, cur = adam_step(state, cur, g, lr=0.1)
-        assert state.t == t
+        cur = adam_step(m, v, t, cur, g, lr=0.1)
     # three steps of lr-sized movement against the gradient sign
     assert np.allclose(cur, [-0.3, 0.3], rtol=1e-5)
 
 
 def test_adam_zero_gradient_is_noop():
     p = np.array([1.5, -2.0])
-    state = AdamState.init(p)
-    state, out = adam_step(state, p, np.zeros(2), lr=0.3)
+    out = adam_step(np.zeros(2), np.zeros(2), 1, p, np.zeros(2), lr=0.3)
     assert np.array_equal(out, p)
 
 
@@ -81,19 +76,30 @@ def test_adam_large_eps_behaves_like_scaled_sgd(monkeypatch):
     rng = np.random.default_rng(7)
     p = rng.standard_normal(5)
     g = rng.standard_normal(5)
-    state = AdamState.init(p)
-    _, adam_out = adam_step(state, p, g, lr=0.5)
+    adam_out = adam_step(np.zeros(5), np.zeros(5), 1, p, g, lr=0.5)
     sgd_out = sgd_step(p, g, 0.5 * 1e-6)
     assert np.allclose(adam_out, sgd_out, rtol=0, atol=1e-6)
 
 
 def test_adam_state_vectors_match_params():
     params = small_net(seed=2)
-    state = AdamState.init(params.flat)
-    new_state, out = adam_step(state, params.flat, params.flat, lr=0.01)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    out = adam_step(m, v, 1, params.flat, params.flat, lr=0.01)
     # moments and the result share the parameter vector's layout and dtype
-    for arr in (state.m, state.v, new_state.m, new_state.v, out):
+    for arr in (m, v, out):
         assert arr.shape == params.flat.shape and arr.dtype == params.flat.dtype
+
+
+def test_adam_writes_the_callers_moments_in_place():
+    rng = np.random.default_rng(5)
+    p, g = rng.standard_normal(4), rng.standard_normal(4)
+    m, v = np.zeros(4), np.zeros(4)
+    out = adam_step(m, v, 1, p, g, lr=0.01)
+    # the caller's arrays now hold step 1's moments; the parameters are new
+    assert np.array_equal(m, (1.0 - 0.9) * g)
+    assert np.array_equal(v, (1.0 - 0.999) * g * g)
+    assert not np.shares_memory(out, p)
+    assert not np.shares_memory(out, m) and not np.shares_memory(out, v)
 
 
 def _reference_sgd(leaves, grads, lr):
@@ -133,18 +139,18 @@ def test_flat_optimizers_match_per_array_reference(dtype):
         assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, cur), ref))
 
     # Adam
-    state, cur = AdamState.init(params.flat), params.flat
+    m_flat, v_flat = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    cur = params.flat
     m = [np.zeros_like(a) for a in _leaves(layout, params.flat)]
     v = [np.zeros_like(a) for a in _leaves(layout, params.flat)]
     t, ref = 0, [a.copy() for a in _leaves(layout, params.flat)]
     for g in grads:
-        state, cur = adam_step(state, cur, g, 0.01)
+        cur = adam_step(m_flat, v_flat, t + 1, cur, g, 0.01)
         m, v, t, ref = _reference_adam(m, v, t, ref, _leaves(layout, g), 0.01)
-        assert cur.dtype == state.m.dtype == state.v.dtype == dtype
+        assert cur.dtype == m_flat.dtype == v_flat.dtype == dtype
         assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, cur), ref))
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, state.m), m))
-        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, state.v), v))
-    assert state.t == t == 5
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, m_flat), m))
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(layout, v_flat), v))
 
 
 def test_cosine_endpoints_and_midpoint():

@@ -13,7 +13,7 @@ from taskmix.config import AUGMENTATIONS
 from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, gather_batch, sample_rows
 from taskmix.errors import TrainingDivergedError
 from taskmix.nn import GRAD_MODES, backward
-from taskmix.optim import AdamState, adam_step, cosine_lr, sgd_step
+from taskmix.optim import adam_step, cosine_lr, sgd_step
 from taskmix.rng import StreamBundle
 from taskmix.training import (
     initial_params,
@@ -89,12 +89,12 @@ def test_meta_step_degenerates_to_supervised_adam():
     bundle = StreamBundle(4)
     theta = initial_params(ds, cfg, 4)
     rng = bundle.batch(task.id)
-    adam = AdamState.init(theta.flat)
-    for _ in range(5):
+    m, v = np.zeros_like(theta.flat), np.zeros_like(theta.flat)
+    for k in range(5):
         batch = gather_batch(task, sample_rows(task, "train", cfg.meta.batch_size, rng))
         _, grads = backward(theta, batch)
-        lr = cosine_lr(adam.t, cfg.schedule)
-        adam, flat = adam_step(adam, theta.flat, grads, lr)
+        lr = cosine_lr(k, cfg.schedule)
+        flat = adam_step(m, v, k + 1, theta.flat, grads, lr)
         theta = theta.like(flat)
     assert same_params(trained.params, theta)
 
@@ -105,9 +105,8 @@ def test_meta_step_counts_and_stats():
     theta = initial_params(ds, cfg, 0)
     bundle = StreamBundle(0)
     stats, grads = meta_step(theta, ds.meta_train_tasks, cfg, bundle)
-    adam2, flat = adam_step(AdamState.init(theta.flat), theta.flat, grads,
-                            cosine_lr(0, cfg.schedule))
-    assert adam2.t == 1
+    flat = adam_step(np.zeros_like(theta.flat), np.zeros_like(theta.flat), 1, theta.flat,
+                     grads, cosine_lr(0, cfg.schedule))
     assert np.isfinite(stats["mean_task_loss"])
     assert not same_params(theta, theta.like(flat))
     # meta_train's first step is that update, recorded as step 0 at the schedule's lr
@@ -146,13 +145,14 @@ def test_meta_step_results_do_not_depend_on_group_size(augmentation, grad_mode, 
     for size in (1, 2, 64):
         monkeypatch.setattr(training, "GROUP_BUDGET", size * per_unit)
         assert training.group_size(theta.layout, cfg.meta.batch_size) == size
-        flat, adam, bundle = theta.flat, AdamState.init(theta.flat), StreamBundle(0)
+        flat, bundle = theta.flat, StreamBundle(0)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
         stats = []
         for k in range(3):
             record, grads = meta_step(theta.like(flat), ds.meta_train_tasks, cfg, bundle)
-            adam, flat = adam_step(adam, flat, grads, cosine_lr(k, cfg.schedule))
+            flat = adam_step(m, v, k + 1, flat, grads, cosine_lr(k, cfg.schedule))
             stats.append(json.dumps(record))
-        runs.append((flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t, stats))
+        runs.append((flat.tobytes(), m.tobytes(), v.tobytes(), stats))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -400,10 +400,10 @@ def test_stage_loop_contract(stage, monkeypatch):
     for poison in ("params", "loss"):
         updates = []
 
-        def poisoned_adam(state, params, grads, lr):
-            state, params = adam_step(state, params, grads, lr)
+        def poisoned_adam(m, v, t, params, grads, lr):
+            params = adam_step(m, v, t, params, grads, lr)
             updates.append(lr)
-            return state, params * np.nan if poison == "params" and len(updates) == 3 else params
+            return params * np.nan if poison == "params" and len(updates) == 3 else params
 
         def poisoned_backward(params, batch):
             # meta-train's calls carry a unit axis: one loss per unit
