@@ -115,6 +115,19 @@ def _write_json(path: Path, payload) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# The files train writes in --out, and those of a report in its directory.
+TRAIN_FILES = ("model.json", "summary.json", "history.jsonl", "config.json")
+REPORT_FILES = ("report.txt", "report.json")
+
+
+def _check_output_files(base, names) -> None:
+    """A directory where the command will write one of the files names in
+    base is a configuration error, raised before it trains or writes."""
+    for path in (Path(base) / name for name in names):
+        if path.is_dir():
+            raise ConfigError(f"{path}: is a directory where the command writes a file")
+
+
 def _output_dir(path) -> Path:
     """path as a directory, made with its parents if missing. A path that
     cannot be one (a file is in the way) is a configuration error."""
@@ -173,7 +186,7 @@ def _write_run(out: Path, cfg: RunConfig, history: list[dict], model=None) -> No
     record, and config.json. Every one of them an earlier run left there is
     removed first, so each file in out describes this run even when a write
     is interrupted."""
-    for name in ("model.json", "summary.json", "history.jsonl", "config.json"):
+    for name in TRAIN_FILES:
         (out / name).unlink(missing_ok=True)
     if model is not None:
         _write_json(out / "model.json", _params_to_jsonable(model.params))
@@ -194,7 +207,8 @@ def cmd_train(args) -> int:
     if cfg.method == "vanilla":  # checked before the corpus is read or --out made
         raise ConfigError(f"method {cfg.method!r} has no training phase")
     dataset = load_dataset(_require(cfg, "dataset"))
-    out = _output_dir(_require(cfg, "out"))
+    _check_output_files(_require(cfg, "out"), TRAIN_FILES)
+    out = _output_dir(cfg.out)
     try:
         model = train_phase(dataset, cfg.method, cfg, cfg.seeds[0])
     except TrainingDivergedError as exc:
@@ -239,7 +253,7 @@ def _reject_repeats(name: str, values) -> None:
 
 
 def cmd_experiment(args) -> int:
-    if args.methods:
+    if args.methods is not None:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         if not methods:
             raise ConfigError(f"--methods {args.methods!r} names no method")
@@ -252,7 +266,8 @@ def cmd_experiment(args) -> int:
     cfg = _resolve_config(args, methods)
     _reject_repeats("seeds", cfg.seeds)
     dataset = load_dataset(_require(cfg, "dataset"))
-    out = _output_dir(_require(cfg, "out"))
+    _check_output_files(_require(cfg, "out"), ("config.json", *REPORT_FILES))
+    out = _output_dir(cfg.out)
     cells = _read_cells(out)  # every existing cell is checked before any training
     for method in methods:
         for seed in cfg.seeds:
@@ -273,6 +288,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     base = Path(args.in_dir)
+    _check_output_files(base, REPORT_FILES)
     _publish_report(base, _read_cells(base))
     return 0
 

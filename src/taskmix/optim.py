@@ -1,20 +1,17 @@
 """Update rules and schedules: inner-loop SGD, outer-loop Adam with bias
-correction, cosine-annealed learning rate, and patience-based early stopping.
-Adam keeps no state: its moment vectors are the caller's, written in place.
+correction, and cosine-annealed learning rate. Nothing here keeps state:
+Adam's moment vectors are the caller's, written in place, and the training
+loop (`training._fit`) owns them along with early stopping's best snapshot
+and patience count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from .config import Schedule
-
-MINIMIZE = "minimize"
-MAXIMIZE = "maximize"
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
@@ -56,38 +53,3 @@ def cosine_lr(step: int, schedule: Schedule) -> float:
     s = min(step, schedule.max_step)
     span = schedule.lr_max - schedule.lr_min
     return schedule.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * s / schedule.max_step))
-
-
-@dataclass
-class EarlyStopper:
-    """Stops after `patience` (>= 1, as config validation ensures)
-    consecutive non-improving evaluations, toward MINIMIZE or MAXIMIZE.
-
-    Keeps a copy of the best-scoring flat parameter vector; the snapshot is
-    the training result, never the last step's parameters.
-    """
-
-    patience: int
-    direction: str = MINIMIZE
-    best_value: float | None = None
-    best_step: int = -1
-    best_params: Any = None
-    bad_count: int = field(default=0)
-
-    def _improved(self, value: float) -> bool:
-        if self.best_value is None:
-            return True
-        if self.direction == MINIMIZE:
-            return value < self.best_value
-        return value > self.best_value
-
-    def update(self, value: float, step: int, params) -> bool:
-        """Record one evaluation; returns True when training should stop."""
-        if self._improved(value):
-            self.best_value = float(value)
-            self.best_step = int(step)
-            self.best_params = params.copy()
-            self.bad_count = 0
-            return False
-        self.bad_count += 1
-        return self.bad_count >= self.patience

@@ -27,16 +27,18 @@ Per-task meta-gradients are summed into one meta-gradient per outer step.
 Every random draw comes from a substream keyed by (purpose, consumer), so
 toggling any augmentation never perturbs the draws of the base algorithm.
 
-All three stages differ only in their gradient, learning rate and
-evaluation; one training loop (`_fit`) holds Adam's moments and runs the
-updates, the evaluation cadence, early stopping, the history and the
-divergence check for each of them.
+All three stages differ only in their gradient, learning rate, evaluation
+and its direction; one training loop (`_fit`) holds Adam's moments and
+early stopping's best snapshot and patience count, and runs the updates,
+the evaluation cadence, the history and the divergence check for each of
+them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -66,14 +68,7 @@ from .nn import (
     layout_for,
     weighted_ce,
 )
-from .optim import (
-    MAXIMIZE,
-    MINIMIZE,
-    EarlyStopper,
-    adam_step,
-    cosine_lr,
-    sgd_step,
-)
+from .optim import adam_step, cosine_lr, sgd_step
 from .rng import StreamBundle
 
 
@@ -81,9 +76,10 @@ from .rng import StreamBundle
 class TrainedModel:
     """Result of a training stage: best-snapshot parameters plus bookkeeping.
 
-    params always hold the early stopper's best snapshot (falling back to
-    the final parameters when no evaluation ever ran). stopped_at is the
-    number of optimization steps actually executed, one history record each.
+    params always hold the best snapshot `_fit` kept (falling back to the
+    final parameters when no evaluation ever ran and no baseline was given).
+    stopped_at is the number of optimization steps actually executed, one
+    history record each.
     """
 
     params: ModelParams
@@ -93,28 +89,34 @@ class TrainedModel:
     best_value: float
 
 
-def _fit(flat: np.ndarray, gradient, lr, evaluate, stopper: EarlyStopper, max_steps: int,
-         eval_every: int) -> TrainedModel:
-    """Run up to max_steps Adam updates of the vector flat: step k applies
-    `gradient(flat, k) -> (stats, grads)` at `lr(k)` and records
+def _fit(flat: np.ndarray, gradient, lr, evaluate, improves, budget,
+         baseline: float | None = None) -> TrainedModel:
+    """Run up to budget.max_steps Adam updates of the vector flat: step k
+    applies `gradient(flat) -> (stats, grads)` at `lr(k)` and records
     {"step": k, "lr": lr(k), **stats}.
 
-    After every eval_every-th step, `evaluate(flat) -> (name, value)` adds
-    its value to the step's record and feeds the early stopper, which ends
-    the run once its patience runs out. A non-finite record value ends the
-    run with TrainingDivergedError at that step, which carries the history
-    so far. The numerics do not check their inputs (data is checked when
-    read), so non-finite parameters show up as a non-finite loss or
-    evaluation. The stage gives the returned vector its layout.
+    After every budget.eval_every-th step, `evaluate(flat) -> (name, value)`
+    adds its value to the step's record. The loop owns early stopping: when
+    `improves(value, best_value)`, it keeps a copy of the parameters as the
+    best snapshot, with the step and value; budget.patience evaluations in a
+    row that do not improve end the run. A baseline, the value of the
+    starting parameters, is the best at step -1. A
+    non-finite record value ends the run with TrainingDivergedError at that
+    step, which carries the history so far. The numerics do not check their
+    inputs (data is checked when read), so non-finite parameters show up as
+    a non-finite loss or evaluation. The stage gives the returned vector its
+    layout.
     """
     if sys.platform == "linux":  # glibc's malloc thresholds, fixed: see README
         for param, value in ((-3, 32 << 20), (-1, 64 << 20)):  # M_MMAP_, M_TRIM_THRESHOLD
             ctypes.CDLL(None).mallopt(param, value)
     m, v = np.zeros_like(flat), np.zeros_like(flat)  # Adam's moments
+    best = None if baseline is None else flat.copy()
+    best_step, best_value, stale = -1, baseline, 0
     history: list[dict] = []
-    for k in range(max_steps):
-        evaluated = (k + 1) % eval_every == 0
-        stats, grads = gradient(flat, k)
+    for k in range(budget.max_steps):
+        evaluated = (k + 1) % budget.eval_every == 0
+        stats, grads = gradient(flat)
         rate = lr(k)
         flat = adam_step(m, v, k + 1, flat, grads, rate)
         del grads  # spent: not held through the next step's gradient
@@ -126,11 +128,17 @@ def _fit(flat: np.ndarray, gradient, lr, evaluate, stopper: EarlyStopper, max_st
         if bad:
             raise TrainingDivergedError(k, f"non-finite {bad[0]} at step {k}", history)
         history.append(record)
-        if evaluated and stopper.update(value, k, flat):
-            break
-    best = stopper.best_params if stopper.best_params is not None else flat
-    best_value = stopper.best_value if stopper.best_value is not None else math.nan
-    return TrainedModel(best, history, len(history), stopper.best_step, best_value)
+        if not evaluated:
+            continue
+        if best_value is None or improves(value, best_value):
+            best, best_step, best_value, stale = flat.copy(), k, float(value), 0
+        else:
+            stale += 1
+            if stale >= budget.patience:
+                break
+    if best is None:  # no evaluation ran and no baseline was given
+        best, best_value = flat, math.nan
+    return TrainedModel(best, history, len(history), best_step, best_value)
 
 
 def initial_params(dataset: Dataset, cfg: RunConfig, seed: int) -> ModelParams:
@@ -288,10 +296,8 @@ def meta_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
         total = sum(split_loss(theta.like(flat), t, "validation") for t in tasks)
         return "validation_loss", total / len(tasks)
 
-    model = _fit(theta.flat, lambda flat, _: meta_step(theta.like(flat), tasks, cfg, bundle),
-                 lambda k: cosine_lr(k, cfg.schedule), evaluate,
-                 EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE),
-                 cfg.meta.max_steps, cfg.meta.eval_every)
+    model = _fit(theta.flat, lambda flat: meta_step(theta.like(flat), tasks, cfg, bundle),
+                 lambda k: cosine_lr(k, cfg.schedule), evaluate, operator.lt, cfg.meta)
     return replace(model, params=theta.like(model.params))
 
 
@@ -307,7 +313,7 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig) -> TrainedModel:
     """
     batch = full_split_batch(task, "train")
 
-    def gradient(flat, _):
+    def gradient(flat):
         loss, grads = backward(theta.like(flat), batch)
         return {"train_loss": loss}, grads
 
@@ -317,10 +323,8 @@ def finetune(theta: ModelParams, task: Task, cfg: RunConfig) -> TrainedModel:
             return "validation_macro_f1", math.nan
         return "validation_macro_f1", split_macro_f1(theta.like(flat), task, "validation")
 
-    stopper = EarlyStopper(patience=cfg.finetune.patience, direction=MAXIMIZE)
-    stopper.update(split_macro_f1(theta, task, "validation"), -1, theta.flat)
-    model = _fit(theta.flat, gradient, lambda _: cfg.finetune.lr, evaluate, stopper,
-                 cfg.finetune.max_steps, cfg.finetune.eval_every)
+    model = _fit(theta.flat, gradient, lambda _: cfg.finetune.lr, evaluate, operator.gt,
+                 cfg.finetune, baseline=split_macro_f1(theta, task, "validation"))
     return replace(model, params=theta.like(model.params))
 
 
@@ -361,7 +365,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
         a, b = spans[k]
         return ModelParams(np.concatenate([vec[:n_neck], vec[a:b]]), layouts[k])
 
-    def gradient(vec, _):
+    def gradient(vec):
         total_loss = 0.0
         grads = np.empty_like(vec)
         for k, task in enumerate(tasks):
@@ -382,8 +386,7 @@ def mtl_train(dataset: Dataset, cfg: RunConfig, seed: int) -> TrainedModel:
             total += weighted_ce(forward(task_model(vec, k), batch.x), batch.y, batch.w)
         return "validation_loss", total / len(tasks)
 
-    stopper = EarlyStopper(patience=cfg.meta.patience, direction=MINIMIZE)
-    model = _fit(state, gradient, lambda k: cosine_lr(k, cfg.schedule), evaluate, stopper,
-                 cfg.meta.max_steps, cfg.meta.eval_every)
+    model = _fit(state, gradient, lambda k: cosine_lr(k, cfg.schedule), evaluate, operator.lt,
+                 cfg.meta)
     trunk = model.params[:n_neck]
     return replace(model, params=base.like(np.concatenate([trunk, base.flat[n_neck:]])))

@@ -532,12 +532,14 @@ def test_experiment_rejects_unknown_method(tmp_path, capsys):
 
 
 def test_experiment_with_separator_only_methods_is_a_config_error(tmp_path, capsys):
+    # an empty value names no method either; it once ran the whole matrix
     manifest = write_tiny_dataset(tmp_path, seed=38)
     cfg = write_config(tmp_path)
     out = tmp_path / "e"
-    assert main(experiment_argv(manifest, cfg, out, ",,")) == 2
-    assert "--methods" in capsys.readouterr().err
-    assert not out.exists()
+    for methods in (",,", ""):
+        assert main(experiment_argv(manifest, cfg, out, methods)) == 2
+        assert "--methods" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_experiment_cells_are_byte_identical_across_runs(tmp_path):
@@ -1087,6 +1089,37 @@ def test_convert_with_a_directory_as_manifest_is_a_data_error(tmp_path, capsys):
     assert main(out_argv("convert", tmp_path, out)) == 3
     assert_one_error_line(capsys, out / "manifest.json")
     assert not (out / "t0.tmxf").exists()
+
+
+# Each file a command writes in its output directory, as it writes them.
+WRITTEN = {
+    "train": ("model.json", "summary.json", "history.jsonl", "config.json"),
+    "experiment": ("config.json", "report.txt", "report.json"),
+    "report": ("report.txt", "report.json"),
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in WRITTEN.items() for n in names])
+def test_directory_where_a_command_writes_a_file_is_a_config_error(tmp_path, capsys, command,
+                                                                   name):
+    # checked before any training: the run once trained, then raised on it
+    out = tmp_path / "out"
+    if command == "report":  # cells to report on, from an earlier experiment
+        assert main(out_argv("experiment", tmp_path, out)) == 0
+        argv = ["report", "--in", str(out)]
+    else:
+        argv = out_argv(command, tmp_path, out)
+    for other in WRITTEN[command]:  # an earlier run's files
+        (out / other).parent.mkdir(parents=True, exist_ok=True)
+        (out / other).write_text("old\n")
+    (out / name).unlink()
+    (out / name).mkdir()
+    (out / name / "kept").write_text("kept\n")
+    before = read_bytes_map(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert_one_error_line(capsys, out / name)
+    assert read_bytes_map(out) == before
 
 
 TASK_ENTRY = {"id": "a", "role": "meta_train", "file": "a.tmxf"}

@@ -1,25 +1,21 @@
-"""Update-rule hand cases and schedule/early-stopping behavior."""
+"""Update-rule hand cases and schedule/early-stopping behavior.
 
-import math
+Early stopping is the training loop's (`training._fit`): its tests drive the
+loop with a scripted evaluation.
+"""
+
+import operator
 
 import numpy as np
 import pytest
 
 from taskmix import optim
-from taskmix.config import RunConfig, Schedule
-from taskmix.errors import ConfigError
-from taskmix.optim import (
-    MAXIMIZE,
-    MINIMIZE,
-    EarlyStopper,
-    adam_step,
-    cosine_lr,
-    sgd_step,
-)
+from taskmix.config import FinetuneConfig, RunConfig, Schedule
+from taskmix.errors import ConfigError, TrainingDivergedError
+from taskmix.optim import adam_step, cosine_lr, sgd_step
+from taskmix.training import _fit
 
 from util import small_net
-
-PARAMS = np.zeros(3)  # stand-in parameters where only the scores matter
 
 
 def test_sgd_hand_case():
@@ -177,70 +173,110 @@ def test_schedule_validation():
         RunConfig(schedule=Schedule(lr_max=0.1, max_step=0)).validate()
 
 
+def scripted_fit(values, improves=operator.lt, patience=2, baseline=None, start=None,
+                 write=None):
+    """_fit with evaluation i scripted to return values[i], one evaluation
+    per step and a step per value. Every step moves the vector (a unit
+    gradient at learning rate 1), and write(flat), if given, then writes into
+    the vector the step was handed. Returns the model and the vectors each
+    evaluation saw, copied."""
+    seen = []
+
+    def gradient(flat):
+        if write is not None:
+            write(flat)
+        return {"loss": 0.0}, np.ones_like(flat)
+
+    def evaluate(flat):
+        seen.append(flat.copy())
+        return "score", values[len(seen) - 1]
+
+    start = np.zeros(3) if start is None else start
+    budget = FinetuneConfig(max_steps=len(values), eval_every=1, patience=patience)
+    return _fit(start, gradient, lambda _: 1.0, evaluate, improves, budget, baseline), seen
+
+
 def test_early_stopper_patience_trace():
     # minimize, patience 2: 1.0 best, then 1.1 and 1.2 exhaust patience
-    stopper = EarlyStopper(patience=2, direction=MINIMIZE)
-    p0, p1, p2 = (np.array([v]) for v in (0.0, 1.0, 2.0))
-    assert stopper.update(1.0, 0, p0) is False
-    assert stopper.update(1.1, 1, p1) is False
-    assert stopper.update(1.2, 2, p2) is True
-    assert stopper.best_value == 1.0
-    assert stopper.best_step == 0
-    assert stopper.best_params[0] == 0.0
+    # before 0.5 is ever evaluated
+    model, seen = scripted_fit([1.0, 1.1, 1.2, 0.5])
+    assert model.stopped_at == len(seen) == 3
+    assert [r["score"] for r in model.history] == [1.0, 1.1, 1.2]
+    assert model.best_value == 1.0
+    assert model.best_step == 0
+    assert np.array_equal(model.params, seen[0])
 
 
 def test_early_stopper_snapshot_is_a_copy():
-    stopper = EarlyStopper(patience=3, direction=MINIMIZE)
-    live = np.array([5.0])
-    stopper.update(1.0, 0, live)
-    live[0] = -100.0
-    assert stopper.best_params[0] == 5.0
+    # every later step writes into the vector it is handed, the baseline's
+    # start vector first
+    def scribble(flat):
+        flat[0] = -100.0
+
+    model, seen = scripted_fit([1.0, 2.0, 3.0], patience=5, write=scribble)
+    assert model.best_step == 0
+    assert np.array_equal(model.params, seen[0])
+    start = np.full(3, 5.0)
+    model, _ = scripted_fit([1.0, 2.0], operator.gt, baseline=4.0, start=start, write=scribble)
+    assert model.best_step == -1
+    assert start[0] == -100.0 and np.array_equal(model.params, np.full(3, 5.0))
 
 
 def test_early_stopper_snapshot_owns_its_views():
-    # writing into the live vector, or through its views, after the update
-    # leaves the snapshot alone; the snapshot's views read its own vector
-    stopper = EarlyStopper(patience=3, direction=MINIMIZE)
+    # writing into the live vector, or through its views, after the
+    # evaluation leaves the snapshot alone; the snapshot's views read its
+    # own vector
     net = small_net(seed=3, dims=(4, 3, 2))
-    live, layout = net.flat, net.layout
-    before = live.copy()
-    stopper.update(1.0, 0, live)
-    live[:] = -1.0
-    layout.views(live)[1][0][...] = 9.0
-    best = stopper.best_params
-    assert np.array_equal(best, before)
-    assert not np.shares_memory(best, live)
+    layout, handed = net.layout, []
+
+    def scribble(flat):
+        handed.append(flat)
+        flat[:] = -1.0
+        layout.views(flat)[1][0][...] = 9.0
+
+    model, seen = scripted_fit([1.0, 2.0, 3.0], patience=5, start=net.flat, write=scribble)
+    best = model.params
+    assert model.best_step == 0 and np.array_equal(best, seen[0])
+    assert not any(np.shares_memory(best, live) for live in handed)
     leaves = _leaves(layout, best)
     assert all(np.shares_memory(a, best) for a in leaves)
-    assert np.array_equal(np.concatenate([a.ravel() for a in leaves]), before)
+    assert np.array_equal(np.concatenate([a.ravel() for a in leaves]), seen[0])
 
 
 def test_early_stopper_maximize():
-    stopper = EarlyStopper(patience=2, direction=MAXIMIZE)
-    assert stopper.update(0.5, 0, PARAMS) is False
-    assert stopper.update(0.7, 1, PARAMS) is False  # improvement resets patience
-    assert stopper.update(0.6, 2, PARAMS) is False
-    assert stopper.update(0.6, 3, PARAMS) is True
-    assert stopper.best_value == 0.7
-    assert stopper.best_step == 1
+    # 0.4 uses one unit of patience; the improvement to 0.7 resets it, so
+    # the run ends only at the second 0.6 after it
+    model, seen = scripted_fit([0.5, 0.4, 0.7, 0.6, 0.6, 0.9], operator.gt)
+    assert model.stopped_at == 5
+    assert model.best_value == 0.7
+    assert model.best_step == 2
+    assert np.array_equal(model.params, seen[2])
 
 
 def test_early_stopper_best_never_worse_than_any_seen():
     rng = np.random.default_rng(13)
-    for direction in (MINIMIZE, MAXIMIZE):
-        stopper = EarlyStopper(patience=1000, direction=direction)
-        seen = []
-        for step in range(40):
-            value = float(rng.standard_normal())
-            seen.append(value)
-            stopper.update(value, step, PARAMS)
-        target = min(seen) if direction == MINIMIZE else max(seen)
-        assert stopper.best_value == target
+    for improves, pick in ((operator.lt, min), (operator.gt, max)):
+        values = [float(v) for v in rng.standard_normal(40)]
+        model, seen = scripted_fit(values, improves, patience=1000)
+        assert model.stopped_at == 40
+        assert model.best_value == pick(values)
+        assert np.array_equal(model.params, seen[values.index(pick(values))])
 
 
-def test_early_stopper_nan_never_improves():
-    stopper = EarlyStopper(patience=2, direction=MINIMIZE)
-    stopper.update(1.0, 0, PARAMS)
-    assert stopper.update(math.nan, 1, PARAMS) is False
-    assert stopper.update(math.nan, 2, PARAMS) is True
-    assert stopper.best_value == 1.0
+def test_early_stopper_keeps_the_baseline_when_nothing_beats_it():
+    start = np.arange(3.0)
+    model, seen = scripted_fit([0.5, 0.6, 0.9], operator.gt, baseline=0.6, start=start)
+    assert model.stopped_at == len(seen) == 2
+    assert (model.best_step, model.best_value) == (-1, 0.6)
+    assert np.array_equal(model.params, start) and not np.shares_memory(model.params, start)
+
+
+def test_early_stopper_nan_evaluation_diverges():
+    # a NaN never reaches the comparison: it ends the run at its step, with
+    # the history before it
+    with pytest.raises(TrainingDivergedError) as err:
+        scripted_fit([1.0, float("nan"), 0.5], patience=5)
+    assert err.value.step == 1
+    assert "non-finite score at step 1" in str(err.value)
+    assert [r["step"] for r in err.value.history] == [0]
+    assert err.value.history[0]["score"] == 1.0

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskmix
 from taskmix import mixing
 from taskmix.config import AUGMENTATIONS
 from taskmix.data import ROLE_META_TEST, ROLE_META_TRAIN, gather_batch, sample_rows
@@ -433,3 +438,65 @@ def test_roles_are_what_training_expects():
     ds = tiny_dataset(seed=24)
     assert all(t.role == ROLE_META_TRAIN for t in ds.meta_train_tasks)
     assert all(t.role == ROLE_META_TEST for t in ds.meta_test_tasks)
+
+
+# Shapes large enough for OpenBLAS to split a matmul across threads, which
+# tools/fingerprint.py's may never be: a desk-shape wide maml+taskmix meta
+# step, one exact [256,256] B=512 maml+metamix meta step on long, and a
+# 30-step fine-tune. Prints a sha256 of each result's bytes.
+BLAS_PROBE = """
+import hashlib
+from taskmix.config import from_dict
+from taskmix.data import assemble_dataset
+from taskmix.rng import StreamBundle
+from taskmix.synth import preset, task_records
+from taskmix.training import finetune, initial_params, meta_step
+
+def corpus(name):
+    spec = preset(name, 0.05)
+    return assemble_dataset(task_records(spec), spec.dim, name)
+
+def show(label, *values):
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(value.tobytes() if hasattr(value, "tobytes") else repr(value).encode())
+    print(digest.hexdigest(), label)
+
+desk = {"model": {"hidden": [64, 64]},
+        "meta": {"inner_lr": 0.01, "inner_steps": 5, "batch_size": 128},
+        "finetune": {"lr": 0.01, "max_steps": 30, "eval_every": 10, "patience": 6}}
+wide, long = corpus("wide"), corpus("long")
+cfg = from_dict({**desk, "meta": {**desk["meta"], "augmentation": "taskmix"}})
+theta = initial_params(wide, cfg, 0)
+show("wide taskmix meta step", *meta_step(theta, wide.meta_train_tasks, cfg, StreamBundle(0)))
+cfg = from_dict({"model": {"hidden": [256, 256]},
+                 "meta": {"inner_lr": 0.01, "inner_steps": 5, "batch_size": 512,
+                          "grad_mode": "exact", "augmentation": "metamix"}})
+theta = initial_params(long, cfg, 0)
+show("long exact metamix meta step",
+     *meta_step(theta, long.meta_train_tasks, cfg, StreamBundle(0)))
+cfg = from_dict(desk)
+model = finetune(initial_params(long, cfg, 0), long.meta_test_tasks[0], cfg)
+show("long finetune", model.params.flat, model.history, model.best_step, model.best_value)
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # one process per thread count, since OpenBLAS reads it once at import;
+    # the second count asks for no more threads than the CPUs this process has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    src = str(Path(taskmix.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 threads))
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
